@@ -186,7 +186,7 @@ class Plc:
         links = []
         for __ in range(count):
             source = reader.u16()
-            kind = LinkKind(reader.u8())
+            kind = reader.code(LinkKind)
             virtual = reader.string()
             target = reader.u16()
             links.append(PlcLink(source, kind, virtual, target))

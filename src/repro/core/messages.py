@@ -12,14 +12,20 @@ latency models operate on true message sizes.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 from repro.core.context import Ecc, Pic, Plc
 from repro.core.wire import Reader, Writer
-from repro.errors import PackagingError
+from repro.errors import ContextError, PackagingError
 
 PROTOCOL_VERSION = 1
+
+#: Distinct frames :func:`decode` remembers.  A fleet of one model sends
+#: byte-identical packages and acks, so a few entries serve every
+#: receiver; the bound caps memory when frames do differ.
+DECODE_MEMO_SIZE = 512
 
 
 class MessageType(enum.Enum):
@@ -79,16 +85,19 @@ class InstallMessage:
 
     @classmethod
     def decode_body(cls, reader: Reader) -> "InstallMessage":
-        message = cls(
-            plugin_name=reader.string(),
-            version=reader.string(),
-            target_ecu=reader.string(),
-            target_swc=reader.string(),
-            pic=Pic.decode(reader),
-            plc=Plc.decode(reader),
-            ecc=Ecc.decode(reader),
-            binary=reader.blob(),
-        )
+        try:
+            message = cls(
+                plugin_name=reader.string(),
+                version=reader.string(),
+                target_ecu=reader.string(),
+                target_swc=reader.string(),
+                pic=Pic.decode(reader),
+                plc=Plc.decode(reader),
+                ecc=Ecc.decode(reader),
+                binary=reader.blob(),
+            )
+        except ContextError as exc:
+            raise PackagingError(f"malformed context: {exc}") from None
         reader.expect_end()
         return message
 
@@ -124,8 +133,8 @@ class AckMessage:
         message = cls(
             plugin_name=reader.string(),
             target_swc=reader.string(),
-            op=MessageType(reader.u8()),
-            status=AckStatus(reader.u8()),
+            op=reader.code(MessageType),
+            status=reader.code(AckStatus),
             detail=reader.string(),
         )
         reader.expect_end()
@@ -295,12 +304,19 @@ Message = Union[
 
 
 def decode(raw: bytes) -> Message:
-    """Parse any management message from its wire form."""
+    """Parse any management message from its wire form.
+
+    Messages are immutable, so decoded frames are memoised by their
+    bytes and every receiver of an identical frame shares one message.
+    A malformed frame raises :class:`PackagingError` on every call.
+    """
+    return _decode_frame(raw if type(raw) is bytes else bytes(raw))
+
+
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _decode_frame(raw: bytes) -> Message:
     reader = Reader(raw)
-    try:
-        msg_type = MessageType(reader.u8())
-    except ValueError as exc:
-        raise PackagingError(f"unknown message type: {exc}") from None
+    msg_type = reader.code(MessageType)
     version = reader.u8()
     if version != PROTOCOL_VERSION:
         raise PackagingError(f"unsupported protocol version {version}")
@@ -319,6 +335,7 @@ def decode(raw: bytes) -> Message:
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "DECODE_MEMO_SIZE",
     "MessageType",
     "AckStatus",
     "InstallMessage",

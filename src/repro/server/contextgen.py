@@ -7,11 +7,19 @@ the SW conf into a PLC, taking "special care with the plug-in ports
 that will be connected to plug-ins located in other SW-Cs" (the
 recipient's port ids are embedded into the sender's context), and
 finally prepares an ECC package for externally communicating plug-ins.
+
+The packages depend only on the APP, the SwConf, the vehicle's
+SystemSwConf and the port ids its installed plug-ins already hold, so
+every vehicle of one model with the same installs gets byte-identical
+packages.  Given a :class:`PackageCache`, :func:`generate_packages`
+builds and encodes them once per distinct (App, SwConf, SystemSwConf,
+used ports) key and hands the same package set to every such vehicle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.context import (
     Ecc,
@@ -27,12 +35,28 @@ from repro.errors import CompatibilityError
 from repro.server.models import App, ConnectionKind, SwConf, Vehicle
 
 
-@dataclass
+#: Package sets a :class:`PackageCache` keeps per APP; the oldest key
+#: goes first.
+PACKAGE_CACHE_SIZE = 64
+
+
+@dataclass(frozen=True)
 class GeneratedPackage:
-    """One install message plus its allocation bookkeeping."""
+    """One install message, its wire bytes and allocation bookkeeping."""
 
     message: InstallMessage
     port_ids: tuple[int, ...]
+    raw: bytes
+
+
+def _used_ports(vehicle: Vehicle) -> frozenset[tuple[str, int]]:
+    """(SW-C, port id) pairs held by the vehicle's installed plug-ins."""
+    return frozenset(
+        (record.swc_name, port_id)
+        for installed in vehicle.conf.installed.values()
+        for record in installed.plugins
+        for port_id in record.port_ids
+    )
 
 
 class PortIdAllocator:
@@ -40,11 +64,8 @@ class PortIdAllocator:
 
     def __init__(self, vehicle: Vehicle) -> None:
         self._used: dict[str, set[int]] = {}
-        for app in vehicle.conf.installed.values():
-            for record in app.plugins:
-                self._used.setdefault(record.swc_name, set()).update(
-                    record.port_ids
-                )
+        for swc_name, port_id in _used_ports(vehicle):
+            self._used.setdefault(swc_name, set()).add(port_id)
         self._cursor: dict[str, int] = {}
 
     def allocate(self, swc_name: str) -> int:
@@ -57,15 +78,70 @@ class PortIdAllocator:
         return cursor
 
 
+class PackageCache:
+    """Generated package sets, content-addressed by what generation reads.
+
+    The key is the APP (by identity), the SwConf, the vehicle's
+    SystemSwConf and the (SW-C, port id) pairs its installed plug-ins
+    hold.  Each APP name keeps only the last APP object it was asked
+    for, so uploading new versions replaces entries instead of adding
+    them, and at most :data:`PACKAGE_CACHE_SIZE` keys per APP.
+    """
+
+    def __init__(self) -> None:
+        self._apps: dict[
+            str, tuple[App, dict[tuple, tuple[GeneratedPackage, ...]]]
+        ] = {}
+        #: Package sets built on a miss (one per distinct key).
+        self.generated = 0
+
+    def apps(self) -> list[App]:
+        """The APP objects whose package sets are held."""
+        return [app for app, __ in self._apps.values()]
+
+    def packages(
+        self, app: App, conf: SwConf, vehicle: Vehicle
+    ) -> tuple[GeneratedPackage, ...]:
+        slot = self._apps.get(app.name)
+        if slot is None or slot[0] is not app:
+            slot = self._apps[app.name] = (app, {})
+        entries = slot[1]
+        key = (conf, vehicle.conf.system_sw, _used_ports(vehicle))
+        packages = entries.get(key)
+        if packages is None:
+            packages = tuple(_generate(app, conf, vehicle))
+            self.generated += 1
+            if len(entries) >= PACKAGE_CACHE_SIZE:
+                del entries[next(iter(entries))]
+            entries[key] = packages
+        return packages
+
+
 def generate_packages(
-    app: App, conf: SwConf, vehicle: Vehicle
+    app: App,
+    conf: SwConf,
+    vehicle: Vehicle,
+    cache: Optional[PackageCache] = None,
 ) -> list[GeneratedPackage]:
     """Produce one installation package per plug-in of ``app``.
+
+    With ``cache``, a vehicle whose key (see :class:`PackageCache`)
+    was seen before gets the package set built for that key; the
+    generation below runs once per distinct (App, SwConf, SystemSwConf,
+    used ports) key.
 
     Assumes :func:`~repro.server.compatibility.check_compatibility`
     passed; inconsistencies at this stage raise
     :class:`CompatibilityError` (server bug or racing configuration).
     """
+    if cache is not None:
+        return list(cache.packages(app, conf, vehicle))
+    return _generate(app, conf, vehicle)
+
+
+def _generate(
+    app: App, conf: SwConf, vehicle: Vehicle
+) -> list[GeneratedPackage]:
     allocator = PortIdAllocator(vehicle)
     # First pass: allocate ids for every plug-in port (receivers must be
     # known before senders' VIRTUAL_REMOTE links are emitted).
@@ -162,9 +238,16 @@ def generate_packages(
                     ids[(plugin_name, port)]
                     for port in descriptor.port_names
                 ),
+                message.encode(),
             )
         )
     return packages
 
 
-__all__ = ["GeneratedPackage", "PortIdAllocator", "generate_packages"]
+__all__ = [
+    "GeneratedPackage",
+    "PACKAGE_CACHE_SIZE",
+    "PackageCache",
+    "PortIdAllocator",
+    "generate_packages",
+]

@@ -26,7 +26,7 @@ from repro.server.models import (
     InstalledPlugin,
     Vehicle,
 )
-from repro.server.contextgen import generate_packages
+from repro.server.contextgen import PackageCache, generate_packages
 from repro.server.pusher import Pusher
 from repro.server.services.appstore import AppStore
 from repro.server.services.envelope import ErrorCode, Response
@@ -99,6 +99,9 @@ class DeploymentService:
         # (vin, app_name) -> user_id: update waiting for uninstall acks.
         self._pending_updates: dict[tuple[str, str], str] = {}
         self._listeners: list[Callable[[ServerEvent], None]] = []
+        #: Install packages shared by vehicles that would get identical
+        #: ones (see :class:`~repro.server.contextgen.PackageCache`).
+        self.packages = PackageCache()
 
     # -- events ---------------------------------------------------------------
 
@@ -137,6 +140,9 @@ class DeploymentService:
 
         ``campaign`` tags the pushed packages so the pusher's global
         outbox budget can evict oldest-campaign-first under pressure.
+        Packages come from :attr:`packages`: the PIC/PLC/ECC generation
+        and encoding run once per distinct (App, SwConf, SystemSwConf,
+        used ports) key, not once per vehicle.
         """
         vehicle, error = self._vehicle_for(user_id, vin)
         if error is not None:
@@ -157,22 +163,23 @@ class DeploymentService:
                 ErrorCode.INCOMPATIBLE, *report.reasons, value=report
             )
         assert report.sw_conf is not None
-        packages = generate_packages(app, report.sw_conf, vehicle)
+        packages = generate_packages(
+            app, report.sw_conf, vehicle, cache=self.packages
+        )
         installed = InstalledApp(app.name, app.version, InstallStatus.PENDING)
         raws = []
         for package in packages:
-            raw = package.message.encode()
             installed.plugins.append(
                 _PluginRecord(
                     plugin_name=package.message.plugin_name,
                     swc_name=package.message.target_swc,
                     ecu_name=package.message.target_ecu,
                     port_ids=package.port_ids,
-                    package=raw,
+                    package=package.raw,
                     footprint=len(package.message.binary),
                 )
             )
-            raws.append(raw)
+            raws.append(package.raw)
         self.pusher.push_many(vin, raws, campaign=campaign)
         vehicle.conf.installed[app.name] = installed
         vehicle.update_failures.pop(app.name, None)
