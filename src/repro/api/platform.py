@@ -70,11 +70,6 @@ class Platform:
         return self.server.api
 
     @property
-    def web(self):
-        """The legacy web-services facade (deprecation shim)."""
-        return self.server.web
-
-    @property
     def vins(self) -> list[str]:
         return [vehicle.vin for vehicle in self.vehicles]
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-from repro.errors import ConfigurationError, PersistenceError
+from repro.errors import ConfigurationError
 from repro.server.services.selector import FleetSelector
 from repro.sim.kernel import MS, SECOND
 from repro.telemetry.soak import SoakPolicy
@@ -356,10 +356,9 @@ class CampaignSpec:
     """One staged fleet rollout, fully declared up front.
 
     ``selector`` filters the targeted fleet (None targets every
-    vehicle): either a serializable
+    vehicle): a serializable
     :class:`~repro.server.services.selector.FleetSelector` evaluated
-    against server vehicle records, or a legacy ``vin -> bool``
-    callable (which keeps working but makes the spec non-persistable).
+    against server vehicle records.
     With ``canary`` True the first wave is the canary: it soaks for
     ``canary_soak_us`` after resolving and may use the stricter
     ``canary_health`` thresholds.
@@ -367,7 +366,7 @@ class CampaignSpec:
 
     app_name: str
     waves: WavePolicy = field(default_factory=PercentageWaves)
-    selector: Optional[Union[FleetSelector, Callable[[str], bool]]] = None
+    selector: Optional[FleetSelector] = None
     canary: bool = True
     health: HealthPolicy = field(default_factory=HealthPolicy)
     canary_health: Optional[HealthPolicy] = None
@@ -392,6 +391,13 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.app_name:
             raise ConfigurationError("campaign needs an app_name")
+        if self.selector is not None and not isinstance(
+            self.selector, FleetSelector
+        ):
+            raise ConfigurationError(
+                f"campaign selector must be a FleetSelector "
+                f"(got {self.selector!r})"
+            )
         if self.retry_budget < 0:
             raise ConfigurationError(
                 f"retry budget must be >= 0 (got {self.retry_budget})"
@@ -429,20 +435,15 @@ class CampaignSpec:
         """Targeted VINs, evaluating FleetSelectors via ``resolve``.
 
         ``resolve(vin)`` returns the server's vehicle record (the
-        engine passes ``api.vehicles.resolve``); legacy callable
-        selectors only see the VIN string.
+        engine passes ``api.vehicles.resolve``).
         """
         if self.selector is None:
             return list(vins)
-        if isinstance(self.selector, FleetSelector):
-            if resolve is None:
-                raise ConfigurationError(
-                    "FleetSelector targeting needs a vehicle resolver"
-                )
-            return [
-                vin for vin in vins if self.selector.matches(resolve(vin))
-            ]
-        return [vin for vin in vins if self.selector(vin)]
+        if resolve is None:
+            raise ConfigurationError(
+                "FleetSelector targeting needs a vehicle resolver"
+            )
+        return [vin for vin in vins if self.selector.matches(resolve(vin))]
 
     def partition_targets(
         self,
@@ -461,25 +462,13 @@ class CampaignSpec:
     # -- persistence -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Serialize for database persistence.
-
-        Raises :class:`~repro.errors.PersistenceError` when the spec
-        carries an opaque callable selector — only declarative
-        :class:`FleetSelector` trees survive a server restart.
-        """
-        if self.selector is None:
-            selector = None
-        elif isinstance(self.selector, FleetSelector):
-            selector = self.selector.to_dict()
-        else:
-            raise PersistenceError(
-                f"campaign {self.app_name!r} uses an opaque callable "
-                f"selector; use a FleetSelector to make it persistent"
-            )
+        """Serialize for database persistence."""
         return {
             "app_name": self.app_name,
             "waves": self.waves.to_dict(),
-            "selector": selector,
+            "selector": (
+                self.selector.to_dict() if self.selector is not None else None
+            ),
             "canary": self.canary,
             "health": self.health.to_dict(),
             "canary_health": (

@@ -141,9 +141,5 @@ class DependencyError(ServerError):
     """Plug-in dependency or conflict constraints were violated."""
 
 
-class PersistenceError(ServerError):
-    """An object cannot be serialized into a database entity."""
-
-
 class DeploymentTimeout(ReproError):
     """A deployment did not resolve within the simulated time budget."""

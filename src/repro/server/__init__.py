@@ -37,7 +37,6 @@ from repro.server.services import (
     Response,
     VehicleView,
 )
-from repro.server.webservices import OperationResult, WebServices
 
 __all__ = [
     "ApiError",
@@ -73,6 +72,4 @@ __all__ = [
     "Pusher",
     "DEFAULT_ADDRESS",
     "TrustedServer",
-    "OperationResult",
-    "WebServices",
 ]

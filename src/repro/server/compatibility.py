@@ -170,8 +170,8 @@ def _check_conflicts(
     # Symmetric direction: an installed APP may declare a conflict on us.
     for name, installed in vehicle.conf.installed.items():
         del installed  # only the name matters here
-        # The database resolves the App object; checked in WebServices
-        # where the store is available.
+        # The database resolves the App object; checked in the
+        # deployment service where the store is available.
 
 
 __all__ = ["CompatibilityReport", "check_compatibility"]

@@ -22,19 +22,21 @@ without one (pinned in ``tests/test_gateway.py``).
 from __future__ import annotations
 
 import json
+import logging
 import threading
-import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownEntityError
 from repro.server.gateway.pump import CommandPump, GatewayTimeout
 from repro.server.gateway.routes import ROUTE_NAMES, build_router
 from repro.server.gateway.stream import StreamBroker
 from repro.server.gateway.wire import STATUS_GATEWAY_BUSY, encode
 from repro.server.services.envelope import ApiError, ErrorCode, Response
 from repro.sim.kernel import MS
+
+_log = logging.getLogger(__name__)
 
 #: Sim time advanced per driver-loop iteration.
 DEFAULT_SLICE_US = 20 * MS
@@ -111,13 +113,13 @@ class _Handler(BaseHTTPRequestHandler):
             status = STATUS_GATEWAY_BUSY
         except (json.JSONDecodeError, ValueError) as error:
             response = Response.failure(ErrorCode.INVALID_REQUEST, str(error))
-        except Exception:  # noqa: BLE001 - last-resort 500 with traceback
-            response = Response.failure(
-                ErrorCode.INVALID_STATE,
-                "unhandled gateway error",
-                value={"traceback": traceback.format_exc(limit=8)},
+        except Exception:  # noqa: BLE001 - last-resort 500, logged here
+            _log.exception(
+                "unhandled gateway error: %s %s", method, self.path
             )
-            status = 500
+            response = Response.failure(
+                ErrorCode.INTERNAL, "unhandled gateway error"
+            )
         wire_status, payload = encode(response)
         if status is None:
             status = wire_status
@@ -135,6 +137,8 @@ def _run_handler(handler, gateway, params, query, body) -> Response:
         return handler(gateway, params, query, body)
     except ApiError as error:
         return Response.failure(error.code, *error.reasons)
+    except UnknownEntityError as error:
+        return Response.failure(ErrorCode.UNKNOWN_ENTITY, str(error))
     except (ConfigurationError, KeyError, TypeError, ValueError) as error:
         kind = type(error).__name__
         return Response.failure(

@@ -152,6 +152,10 @@ def _upload_app(gateway, params, query, body) -> Response:
     """
     body = body or {}
     payload = body.get("app") or {}
+    if not isinstance(payload, dict):
+        return Response.failure(
+            ErrorCode.INVALID_REQUEST, "app payload must be a JSON object"
+        )
     missing = [key for key in ("name", "version", "plugins")
                if not payload.get(key)]
     if missing:

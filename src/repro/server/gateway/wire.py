@@ -16,8 +16,8 @@ import json
 from repro.server.services.envelope import ErrorCode, Response
 
 #: ErrorCode -> HTTP status.  Entity lookups map to 404, authorization
-#: to 403, state conflicts to 409, semantic rejections to 422, and
-#: malformed requests to 400.
+#: to 403, state conflicts to 409, semantic rejections to 422,
+#: malformed requests to 400, and unexpected server faults to 500.
 HTTP_STATUS = {
     ErrorCode.OK: 200,
     ErrorCode.UNKNOWN_ENTITY: 404,
@@ -34,6 +34,7 @@ HTTP_STATUS = {
     ErrorCode.NOT_PERSISTABLE: 422,
     ErrorCode.VERIFICATION_FAILED: 422,
     ErrorCode.INVALID_REQUEST: 400,
+    ErrorCode.INTERNAL: 500,
 }
 
 #: Status used when the gateway itself (not the control plane) cannot

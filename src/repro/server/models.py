@@ -169,7 +169,7 @@ class VehicleConf:
 
     def used_memory(self, swc_name: str) -> int:
         """Declared memory consumed in ``swc_name`` (server estimate)."""
-        # Tracked via the app store at deploy time; see WebServices.
+        # Tracked via the app store at deploy time; see AppStore.
         return 0
 
 
@@ -201,8 +201,8 @@ class CampaignRecord:
 
     Persists everything the control plane needs to list, query, and —
     after a simulated server restart — resume a campaign: the
-    serialized spec and fault plan (``None`` when the spec used an
-    opaque callable selector and could not be serialized), the
+    serialized spec and fault plan (``None`` when a spec component,
+    such as a custom wave policy, could not be serialized), the
     lifecycle status, and the final report rendering.
     """
 

@@ -4,8 +4,7 @@ One :class:`TrustedServer` listens at a pre-defined address on the
 wide-area network fabric; vehicles' ECMs dial in, operators use the
 resource-oriented :attr:`api` control plane
 (:class:`~repro.server.services.fleetapi.FleetAPI` — the paper's web
-portal sits above it).  The legacy :attr:`web` facade survives as a
-deprecation shim over the same services.
+portal sits above it).
 
 :meth:`TrustedServer.restart` simulates a server process restart: the
 whole service layer (listeners, pending updates, campaign engines'
@@ -20,7 +19,6 @@ from repro.network.sockets import NetworkFabric
 from repro.server.database import Database
 from repro.server.pusher import Pusher
 from repro.server.services.fleetapi import FleetAPI
-from repro.server.webservices import WebServices
 
 #: Default pre-defined server address baked into ECM static config.
 DEFAULT_ADDRESS = "trusted-server.oem.example:7000"
@@ -42,7 +40,6 @@ class TrustedServer:
 
     def _bring_up(self) -> None:
         self.api = FleetAPI(self.db, self.pusher)
-        self.web = WebServices(self.api)
 
     def restart(self) -> FleetAPI:
         """Simulate a server process restart; returns the fresh API.

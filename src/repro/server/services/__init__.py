@@ -1,11 +1,10 @@
 """The fleet control plane: resource-oriented server services.
 
-This package splits the seed's monolithic ``WebServices`` object into
-cohesive services behind the :class:`FleetAPI` façade, with uniform
+Cohesive services behind the :class:`FleetAPI` façade, with uniform
 :class:`Response` envelopes, structured :class:`ErrorCode`\\ s, the
 composable :class:`FleetSelector` query DSL, persistent campaigns, and
 cross-campaign admission control.  See the README's "Fleet control
-plane" section for the migration table from the legacy surface.
+plane" section.
 """
 
 from repro.server.services.appstore import AppStore

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import PersistenceError, UnknownEntityError
+from repro.errors import UnknownEntityError
 from repro.server.database import Database
 from repro.server.models import CampaignRecord
 from repro.server.services.deployments import DeploymentService
@@ -45,7 +45,7 @@ class CampaignService:
         self.db = db
         self.deployments = deployments
         #: Live (spec, faults) objects for campaigns created this process —
-        #: lets non-persistable specs (opaque callable selectors) still run.
+        #: lets non-persistable specs (custom wave policies) still run.
         self._live: dict[str, tuple] = {}
         #: vin -> (campaign_id, phase): VINs actively held by an engine.
         self._claims: dict[str, tuple[str, str]] = {}
@@ -71,8 +71,8 @@ class CampaignService:
 
         The spec (and optional fault plan) are serialized into the
         record so the campaign can be resumed after a restart; a spec
-        with an opaque callable selector still runs in-process, but the
-        record is marked non-persistable.
+        whose wave policy or selector cannot serialize still runs
+        in-process, but the record is marked non-persistable.
         """
         record = CampaignRecord(
             campaign_id=self._next_id(),
@@ -83,9 +83,6 @@ class CampaignService:
         )
         try:
             record.spec = spec.to_dict()
-        except PersistenceError as exc:
-            record.spec = None
-            record.notes.append(f"not persistable: {exc}")
         except NotImplementedError:
             # A user-defined wave policy or selector implementing only
             # the runtime contract: runs fine in-process, just cannot

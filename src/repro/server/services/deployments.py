@@ -7,9 +7,8 @@ retry, abandon, update, restore, and reconcile — all returning uniform
 upstream acknowledgement pump and the installation event bus campaign
 engines subscribe to.
 
-This is the single code path for installation status queries; the
-legacy ``Platform.installation_status`` and ``WebServices`` variants
-delegate here.
+This is the single code path for installation status queries;
+``Platform.installation_status`` delegates here.
 """
 
 from __future__ import annotations
@@ -566,8 +565,8 @@ class DeploymentService:
     ) -> Optional[InstallStatus]:
         """Server-side status of ``app_name`` on ``vin`` (None if absent).
 
-        THE status code path: ``Platform.installation_status`` and the
-        ``WebServices`` shim both delegate here.
+        THE status code path: ``Platform.installation_status`` and
+        ``Deployment`` handles delegate here.
         """
         installed = self.db.installation(vin, app_name)
         return installed.status if installed else None

@@ -12,9 +12,8 @@ exposes:
   cross-campaign admission control.
 
 Every operation returns a uniform
-:class:`~repro.server.services.envelope.Response` envelope.  The legacy
-:class:`~repro.server.webservices.WebServices` object is a deprecation
-shim over this façade.
+:class:`~repro.server.services.envelope.Response` envelope.  This is the
+server's only operations surface.
 """
 
 from __future__ import annotations

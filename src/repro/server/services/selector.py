@@ -8,10 +8,9 @@ A :class:`FleetSelector` is a declarative predicate over server-side
 selector-attribute wave scheduling
 (:class:`~repro.campaign.spec.SelectorWaves`).
 
-Unlike ad-hoc ``lambda vin: ...`` filters, selectors serialize to plain
-dicts (:meth:`FleetSelector.to_dict` / :meth:`FleetSelector.from_dict`),
-so campaign specs that use them can be persisted as database entities
-and survive a server restart.
+Selectors serialize to plain dicts (:meth:`FleetSelector.to_dict` /
+:meth:`FleetSelector.from_dict`), so campaign specs that use them can be
+persisted as database entities and survive a server restart.
 
 Example::
 

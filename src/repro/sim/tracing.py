@@ -10,10 +10,9 @@ turns them into the tables printed by the benchmarks.
 from __future__ import annotations
 
 import statistics
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -146,67 +145,4 @@ class LatencyStats:
         }
 
 
-class MetricSet:
-    """Deprecated shim over :class:`repro.telemetry.MetricsRegistry`.
-
-    The registry adds windowed histograms with quantiles and
-    deterministic snapshots; this class keeps the legacy method names
-    (``incr``/``gauge``/``sample``/``counter``/``gauge_value``) working
-    for existing call sites.  New code should use the registry directly.
-    """
-
-    def __init__(self, registry=None) -> None:
-        warnings.warn(
-            "MetricSet is deprecated; use "
-            "repro.telemetry.MetricsRegistry instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # Local import: repro.sim is imported by repro.telemetry.soak,
-        # so a module-level import here would be circular.
-        from repro.telemetry.metrics import MetricsRegistry
-
-        # Adopting an existing registry lets legacy call sites record
-        # into the control plane's shared registry (the one
-        # ``GET /v1/metrics`` and CI snapshot artifacts serve) instead
-        # of a private sink that nothing ever reads.
-        self._registry = registry if registry is not None else MetricsRegistry()
-
-    @property
-    def registry(self):
-        """The backing :class:`~repro.telemetry.MetricsRegistry`."""
-        return self._registry
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        """Increment a counter."""
-        self._registry.inc(name, amount)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set a gauge to its latest value."""
-        self._registry.set_gauge(name, value)
-
-    def sample(self, name: str, value: float) -> None:
-        """Append one observation to a sample series."""
-        self._registry.observe(name, value)
-
-    def counter(self, name: str) -> int:
-        """Current value of a counter (0 if never incremented)."""
-        return self._registry.counter_value(name)
-
-    def gauge_value(self, name: str) -> Optional[float]:
-        """Latest value of a gauge, or None."""
-        return self._registry.gauge_value(name)
-
-    def samples(self, name: str) -> list[float]:
-        """All observations recorded under ``name``."""
-        return self._registry.samples(name)
-
-    def summary(self) -> dict[str, Any]:
-        """Flat dict of every counter, gauge, and sample stats."""
-        return self._registry.summary()
-
-    def __iter__(self) -> Iterator[tuple[str, Any]]:
-        return iter(self.summary().items())
-
-
-__all__ = ["TracePoint", "Tracer", "LatencyStats", "MetricSet"]
+__all__ = ["TracePoint", "Tracer", "LatencyStats"]

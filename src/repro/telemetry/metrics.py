@@ -1,8 +1,7 @@
 """Metrics registry: counters, gauges, and windowed quantile histograms.
 
-The registry supersedes the ad-hoc ``MetricSet`` from
-:mod:`repro.sim.tracing` (which survives as a deprecation shim over this
-module).  Three instrument kinds cover what the fleet experiments need:
+The one metrics API of the repo.  Three instrument kinds cover what the
+fleet experiments need:
 
 * :class:`Counter` — monotonically increasing totals (installs pushed,
   events published).
@@ -215,8 +214,7 @@ class MetricsRegistry:
         """Flat deterministic dict: counters, gauges, histogram stats.
 
         Histogram ``name`` contributes ``name.count`` / ``name.mean`` /
-        ``name.p95`` keys, mirroring (and extending) the flat shape the
-        legacy ``MetricSet.summary`` produced.
+        ``name.p95`` keys.
         """
         out: dict[str, Any] = {}
         for name in sorted(self._counters):

@@ -120,7 +120,9 @@ class TestMultiPeerPhone:
 
         fleet = build_fleet(2, seed=17)
         phone = Smartphone(fleet.fabric, PHONE_ADDRESS, fleet.sim)
-        fleet.server.web.upload_app(make_remote_control_app(PHONE_ADDRESS))
+        fleet.server.api.store.upload(
+            make_remote_control_app(PHONE_ADDRESS)
+        ).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
         fleet.deploy_everywhere("remote-control")
@@ -141,7 +143,9 @@ class TestMultiPeerPhone:
 
         fleet = build_fleet(2, seed=19)
         phone = Smartphone(fleet.fabric, PHONE_ADDRESS, fleet.sim)
-        fleet.server.web.upload_app(make_remote_control_app(PHONE_ADDRESS))
+        fleet.server.api.store.upload(
+            make_remote_control_app(PHONE_ADDRESS)
+        ).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
         fleet.deploy_everywhere("remote-control")

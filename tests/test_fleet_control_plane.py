@@ -1,11 +1,10 @@
-"""Fleet control plane tests: envelopes, shim, campaigns, admission.
+"""Fleet control plane tests: envelopes, campaigns, admission.
 
 Covers the resource-oriented server API end to end:
 
-* uniform ``Response`` envelopes with structured error codes replacing
-  ``OperationResult`` strings and raw exceptions;
-* the ``WebServices`` deprecation shim (every method warns, converts
-  envelopes back, and re-raises legacy exceptions);
+* uniform ``Response`` envelopes with structured error codes;
+* one installation-status code path behind ``Platform`` and
+  ``Deployment``;
 * the portal query endpoint and selector-targeted ``deploy_to``;
 * selector-attribute wave scheduling (``SelectorWaves``);
 * concurrent campaigns with cross-campaign admission control — a VIN
@@ -33,7 +32,7 @@ from repro import (
     SelectorWaves,
     build_fleet,
 )
-from repro.errors import ConfigurationError, UnknownEntityError
+from repro.errors import ConfigurationError
 from repro.fes import canary_campaign
 from repro.fes.example_platform import (
     MODEL,
@@ -44,7 +43,6 @@ from repro.network.sockets import NetworkFabric
 from repro.server.pusher import Pusher
 from repro.server.services import FleetSelector as S
 from repro.server.services import PHASE_ROLLING_BACK, PHASE_UPDATING
-from repro.server.webservices import OperationResult
 from repro.sim import SECOND, Simulator
 
 APP = "remote-control"
@@ -85,6 +83,11 @@ class TestEnvelopes:
         accepted = api.deployments.deploy(fleet.user_id, vin, APP)
         assert accepted.ok and accepted.code is ErrorCode.OK
         assert accepted.report is not None and accepted.pushed_messages == 2
+        assert accepted.report.ok
+        assert api.deployments.installation_status(vin, APP) is (
+            InstallStatus.PENDING
+        )
+        assert api.vehicles.health(vin).unwrap() == {}
 
         again = api.deployments.deploy(fleet.user_id, vin, APP)
         assert again.code is ErrorCode.ALREADY_INSTALLED
@@ -98,6 +101,19 @@ class TestEnvelopes:
         with pytest.raises(ApiError) as err:
             duplicate.unwrap()
         assert err.value.code is ErrorCode.DUPLICATE_ENTITY
+
+    def test_unified_installation_status_code_path(self, monkeypatch):
+        """Platform and Deployment both flow through one method."""
+        fleet = make_fleet(1)
+        deployment = fleet.deploy(APP)
+        sentinel = InstallStatus.ACTIVE
+        monkeypatch.setattr(
+            type(fleet.api.deployments),
+            "installation_status",
+            lambda self, vin, app_name: sentinel,
+        )
+        assert fleet.installation_status("any", "thing") is sentinel
+        assert deployment.status(fleet.vins[0]) is sentinel
 
     def test_update_redeploy_failure_is_surfaced(self):
         """update() whose re-deploy is rejected must emit an event, not
@@ -244,47 +260,6 @@ class TestEnvelopes:
         assert fleet.api.store.compatibility("ghost", vin).code is (
             ErrorCode.UNKNOWN_ENTITY
         )
-
-
-class TestWebServicesShim:
-    def test_every_call_warns_and_converts(self):
-        fleet = make_fleet(1)
-        vin = fleet.vins[0]
-        with pytest.warns(DeprecationWarning, match="deployments.deploy"):
-            result = fleet.server.web.deploy(fleet.user_id, vin, APP)
-        assert isinstance(result, OperationResult)
-        assert result.ok and result.pushed_messages == 2
-        assert result.report is not None and result.report.ok
-        with pytest.warns(
-            DeprecationWarning, match="deployments.installation_status"
-        ):
-            assert (
-                fleet.server.web.installation_status(vin, APP)
-                is InstallStatus.PENDING
-            )
-        with pytest.warns(DeprecationWarning, match="vehicles.health"):
-            assert fleet.server.web.vehicle_health(vin) == {}
-
-    def test_legacy_exceptions_still_raise(self):
-        fleet = make_fleet(1)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(UnknownEntityError):
-                fleet.server.web.deploy(fleet.user_id, "VIN-9999", APP)
-
-    def test_unified_installation_status_code_path(self, monkeypatch):
-        """Platform, shim, and Deployment all flow through one method."""
-        fleet = make_fleet(1)
-        sentinel = InstallStatus.ACTIVE
-        monkeypatch.setattr(
-            type(fleet.api.deployments),
-            "installation_status",
-            lambda self, vin, app_name: sentinel,
-        )
-        assert fleet.installation_status("any", "thing") is sentinel
-        with pytest.warns(DeprecationWarning):
-            assert fleet.server.web.installation_status("any", "thing") is (
-                sentinel
-            )
 
 
 # -- portal queries and selector targeting -------------------------------------
@@ -701,11 +676,20 @@ class TestCampaignPersistence:
             )
 
     def test_opaque_callable_selector_is_not_persistable(self):
+        """A callable selector is refused up front; the opaque targeting
+        that remains, a WavePolicy without to_dict, stages as not
+        persistable and a staged one cannot be revived after a restart."""
+        from repro.campaign.spec import WavePolicy
+
+        with pytest.raises(ConfigurationError):
+            CampaignSpec(APP, selector=lambda vin: vin.endswith("0"))
+
+        class EndsInZeroWaves(WavePolicy):
+            def partition(self, vins):
+                return [[vin for vin in vins if vin.endswith("0")]]
+
         fleet = make_fleet(2)
-        spec = CampaignSpec(
-            APP, waves=FixedWaves(2), canary=False,
-            selector=lambda vin: vin.endswith("0"),
-        )
+        spec = CampaignSpec(APP, waves=EndsInZeroWaves(), canary=False)
         engine = fleet.stage_campaign(spec)
         record = fleet.api.campaigns.get(engine.campaign_id).unwrap()
         assert not record.persistable

@@ -21,6 +21,8 @@ import dataclasses
 import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -377,6 +379,20 @@ def served():
         gateway.stop()
 
 
+def _raw_request(gateway, method, path, body=None):
+    """One HTTP round-trip returning ``(status, body bytes)``."""
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    req = urllib.request.Request(
+        gateway.base_url + path, data=data, method=method,
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=30) as raw:
+            return raw.status, raw.read()
+    except urllib.error.HTTPError as error:
+        return error.code, error.read()
+
+
 def _await_terminal(client, campaign_id, timeout_s=60.0):
     deadline = time.monotonic() + timeout_s
     terminal = {"succeeded", "rolled_back", "halted", "timed_out"}
@@ -413,6 +429,35 @@ class TestGatewayHTTP:
             "POST", "/v1/deployments", body={"not": "a deploy"}
         )
         assert response.code is ErrorCode.INVALID_REQUEST
+
+    def test_unknown_vin_deployment_status_is_404(self, served):
+        fleet, gateway, client = served
+        status, payload = _raw_request(
+            gateway, "GET", f"/v1/deployments/VIN-NOPE/{APP}"
+        )
+        assert status == 404
+        response = Response.from_dict(json.loads(payload))
+        assert response.code is ErrorCode.UNKNOWN_ENTITY
+        assert b"Traceback" not in payload
+
+    def test_unhandled_error_is_an_opaque_500(
+        self, served, monkeypatch, caplog
+    ):
+        fleet, gateway, client = served
+        route, _ = gateway.router.match("GET", "/v1/health")
+
+        def boom(gateway, params, query, body):
+            raise RuntimeError("secret internals")
+
+        monkeypatch.setattr(route, "handler", boom)
+        status, payload = _raw_request(gateway, "GET", "/v1/health")
+        assert status == 500
+        response = Response.from_dict(json.loads(payload))
+        assert response.code is ErrorCode.INTERNAL
+        assert b"Traceback" not in payload
+        assert b"secret internals" not in payload
+        # The details stay in the server log.
+        assert "secret internals" in caplog.text
 
     def test_selector_queries_match_in_process_results(self, served):
         fleet, gateway, client = served
@@ -634,7 +679,10 @@ class TestAppStoreHTTP:
 
     def test_malformed_app_body_invalid_request(self, served):
         fleet, gateway, client = served
-        response = client.request(
-            "POST", "/v1/apps", body={"app": {"name": "x"}}
-        )
-        assert response.code is ErrorCode.INVALID_REQUEST
+        for app in ({"name": "x"}, 1):
+            status, payload = _raw_request(
+                gateway, "POST", "/v1/apps", body={"app": app}
+            )
+            assert status == 400, app
+            response = Response.from_dict(json.loads(payload))
+            assert response.code is ErrorCode.INVALID_REQUEST

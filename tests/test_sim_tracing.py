@@ -1,8 +1,8 @@
-"""Unit tests for tracing, metrics, and seeded randomness."""
+"""Unit tests for tracing and seeded randomness."""
 
 import pytest
 
-from repro.sim import LatencyStats, MetricSet, SeededStream, StreamFactory, Tracer
+from repro.sim import LatencyStats, SeededStream, StreamFactory, Tracer
 from repro.sim.random import derive_seed
 
 
@@ -80,35 +80,6 @@ class TestLatencyStats:
     def test_as_row_keys(self):
         row = LatencyStats.from_samples([1, 2, 3]).as_row()
         assert set(row) == {"n", "min_us", "mean_us", "median_us", "p95_us", "max_us"}
-
-
-class TestMetricSet:
-    def test_counters(self):
-        metrics = MetricSet()
-        metrics.incr("installs")
-        metrics.incr("installs", 2)
-        assert metrics.counter("installs") == 3
-        assert metrics.counter("never") == 0
-
-    def test_gauges(self):
-        metrics = MetricSet()
-        metrics.gauge("queue_depth", 7)
-        metrics.gauge("queue_depth", 4)
-        assert metrics.gauge_value("queue_depth") == 4
-        assert metrics.gauge_value("missing") is None
-
-    def test_samples_and_summary(self):
-        metrics = MetricSet()
-        metrics.sample("lat", 10)
-        metrics.sample("lat", 20)
-        summary = metrics.summary()
-        assert summary["lat.mean"] == 15
-        assert summary["lat.count"] == 2
-
-    def test_iter_yields_summary_items(self):
-        metrics = MetricSet()
-        metrics.incr("x")
-        assert dict(iter(metrics))["x"] == 1
 
 
 class TestSeededStream:

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.errors import DuplicateEntityError
 from repro.fes.example_platform import (
     PHONE_ADDRESS,
     build_example_platform,
     make_remote_control_app,
 )
+from repro.server import ErrorCode
 from repro.server.models import InstallStatus
 from repro.sim import SECOND
 
@@ -55,31 +55,33 @@ def deployed():
 
 class TestUpdateFlow:
     def test_update_without_new_version_rejected(self, deployed):
-        result = deployed.server.web.update(
+        result = deployed.server.api.deployments.update(
             deployed.user_id, "VIN-0001", "remote-control"
         )
         assert not result.ok
         assert "upload a new version" in result.reasons[0]
 
     def test_update_uninstalled_app_rejected(self, deployed):
-        deployed.server.web.upload_app_version(make_v2_app())
-        result = deployed.server.web.update(
+        deployed.server.api.store.upload_version(make_v2_app()).unwrap()
+        result = deployed.server.api.deployments.update(
             deployed.user_id, "VIN-0001", "ghost-app"
         )
-        # Unknown app raises at the db layer before the install check.
-        # (installed check happens first for installed-but-stale apps)
-        assert not result.ok or True
+        assert not result.ok
+        assert result.code is ErrorCode.NOT_INSTALLED
 
     def test_version_replacement_guard(self, deployed):
-        with pytest.raises(DuplicateEntityError):
-            deployed.server.web.upload_app_version(
-                make_remote_control_app(PHONE_ADDRESS, version="1.0")
-            )
+        response = deployed.server.api.store.upload_version(
+            make_remote_control_app(PHONE_ADDRESS, version="1.0")
+        )
+        assert not response.ok
+        assert response.code is ErrorCode.DUPLICATE_ENTITY
 
     def test_update_end_to_end(self, deployed):
-        web = deployed.server.web
-        web.upload_app_version(make_v2_app())
-        result = web.update(deployed.user_id, "VIN-0001", "remote-control")
+        api = deployed.server.api
+        api.store.upload_version(make_v2_app()).unwrap()
+        result = api.deployments.update(
+            deployed.user_id, "VIN-0001", "remote-control"
+        )
         assert result.ok, result.reasons
         deployed.run(6 * SECOND)
         # New version active, recorded as 2.0.
@@ -99,8 +101,8 @@ class TestUpdateFlow:
         pirte2 = deployed.vehicle().pirte_of("swc2")
         old_vm = pirte2.plugin("OP").vm
         old_vm.memory[0] = 12345  # poke state into the running VM
-        deployed.server.web.upload_app_version(make_v2_app())
-        deployed.server.web.update(
+        deployed.server.api.store.upload_version(make_v2_app()).unwrap()
+        deployed.server.api.deployments.update(
             deployed.user_id, "VIN-0001", "remote-control"
         )
         deployed.run(6 * SECOND)
@@ -111,8 +113,8 @@ class TestUpdateFlow:
     def test_port_ids_reallocated_consistently(self, deployed):
         """After the update the COM->OP routing still works, i.e. the
         regenerated contexts agree across both fresh plug-ins."""
-        deployed.server.web.upload_app_version(make_v2_app())
-        deployed.server.web.update(
+        deployed.server.api.store.upload_version(make_v2_app()).unwrap()
+        deployed.server.api.deployments.update(
             deployed.user_id, "VIN-0001", "remote-control"
         )
         deployed.run(6 * SECOND)
