@@ -22,7 +22,7 @@ from repro.autosar import SystemDescription, build_system
 from repro.core import LinkKind, PlcLink, PluginSwcSpec, ServicePort, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
 from repro.autosar.types import INT16
-from repro.sim import MS, LatencyStats, Tracer
+from repro.sim import MS, LatencyStats
 
 
 def run_dispatch_period(period_us, n=30):
@@ -41,7 +41,7 @@ def run_dispatch_period(period_us, n=30):
 
     desc.add_component("sink", make_sink_type(), "ecu1", priority=6)
     desc.connect("host", "svc_out", "sink", "in")
-    system = build_system(desc, tracer=Tracer(enabled=False))
+    system = build_system(desc)
     system.boot_all()
     system.sim.run_for(10 * MS)
     pirte = get_pirte(system.instance("host"))
@@ -121,7 +121,7 @@ def run_install_at_bitrate(bitrate, payload_pad=2000):
     # carried over the bus: connect hosta's relay to nothing; instead
     # inject the package into ecu1's COM toward hostb's mgmt port.
     # Simpler: connect a type I pair hosta->hostb like the ECM does.
-    system = build_system(desc, tracer=Tracer(enabled=False))
+    system = build_system(desc)
     system.boot_all()
     system.sim.run_for(10 * MS)
     # Ship a padded package over the type II relay path as a proxy for

@@ -87,11 +87,11 @@ def test_fig3_signal_chain_detail(benchmark):
     vm_before = com_vm.activations + op_vm.activations
     platform.phone().send("Wheels", -12)
     platform.run(200 * MS)
-    writes = tracer.select("rte", "write")
-    delivers = tracer.select("rte", "deliver")
-    can_tx = tracer.count("can", "tx_done")
+    writes = tracer.events("rte", "write")
+    delivers = tracer.events("rte", "deliver")
+    can_tx = len(tracer.events("can", "tx_done"))
     rows = [
-        ["external deliveries (wifi)", tracer.count("net", "deliver")],
+        ["external deliveries (wifi)", len(tracer.events("net", "deliver"))],
         ["plug-in VM activations", com_vm.activations + op_vm.activations - vm_before],
         ["RTE writes (both ECUs)", len(writes)],
         ["RTE deliveries", len(delivers)],

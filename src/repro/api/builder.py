@@ -61,7 +61,7 @@ from repro.server.models import (
 from repro.server.server import DEFAULT_ADDRESS, TrustedServer
 from repro.sim.kernel import Simulator
 from repro.sim.random import StreamFactory
-from repro.sim.tracing import Tracer
+from repro.telemetry import TelemetryBus
 from repro.vm.loader import compile_plugin
 
 
@@ -456,7 +456,14 @@ class AppBuilder:
 
 
 class ScenarioBuilder:
-    """Fluent, declarative composition of a whole federated scenario."""
+    """Fluent, declarative composition of a whole federated scenario.
+
+    With ``trace=True`` (the default) every full-fidelity vehicle and
+    the network fabric publish their trace points (``ecu``, ``os``,
+    ``rte``, ``can``, ``net``, ``pirte``) onto one
+    :class:`~repro.telemetry.TelemetryBus`, exposed as
+    ``platform.tracer``; with ``trace=False`` that is ``None``.
+    """
 
     def __init__(
         self,
@@ -476,21 +483,6 @@ class ScenarioBuilder:
         self._statistical_model: Optional["StatisticalModel"] = None
 
     # -- infrastructure ------------------------------------------------------
-
-    def network(
-        self,
-        default_profile: Optional[ChannelProfile] = None,
-        seed: Optional[int] = None,
-        trace: Optional[bool] = None,
-    ) -> "ScenarioBuilder":
-        """Configure the wide-area fabric: channel profile, seed, trace."""
-        if default_profile is not None:
-            self._default_profile = default_profile
-        if seed is not None:
-            self._seed = seed
-        if trace is not None:
-            self._trace = trace
-        return self
 
     def server(self, address: str) -> "ScenarioBuilder":
         """Set the trusted server's pre-defined address."""
@@ -583,17 +575,14 @@ class ScenarioBuilder:
         """
         specs = self.vehicle_specs()  # validate before constructing
         sim = Simulator()
-        tracer = Tracer(enabled=self._trace)
-        # Subsystems get None (not a disabled tracer) when tracing is
-        # off: hot paths guard with ``if self.tracer:``, and None makes
-        # that check free instead of an emit call that discards its
-        # point.  The platform still exposes the Tracer object so
-        # ``platform.tracer.count(...)`` keeps working (it reads zero).
-        sub_tracer = tracer if self._trace else None
+        # A bus of its own, not the server's ``api.telemetry``: campaign
+        # reports count that bus's events, and tracing must not change
+        # them.  Untraced subsystems get None.
+        tracer = TelemetryBus() if self._trace else None
         fabric = NetworkFabric(
             sim,
             StreamFactory(self._seed),
-            tracer=sub_tracer,
+            tracer=tracer,
             default_profile=self._default_profile,
         )
         server = TrustedServer(fabric, self._server_address)
@@ -613,9 +602,7 @@ class ScenarioBuilder:
                     spec, fabric, sim, model=self._statistical_model
                 )
             else:
-                vehicle = build_vehicle(
-                    spec, fabric, sim=sim, tracer=sub_tracer
-                )
+                vehicle = build_vehicle(spec, fabric, sim=sim, tracer=tracer)
             vehicles.append(vehicle)
             hw, system_sw = spec.describe_for_server()
             registry_rows.append(

@@ -33,7 +33,7 @@ from repro.server.models import InstallStatus
 from repro.server.server import TrustedServer
 from repro.server.services.selector import FleetSelector
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
+from repro.telemetry import TelemetryBus
 
 
 class Platform:
@@ -46,7 +46,7 @@ class Platform:
     def __init__(
         self,
         sim: Simulator,
-        tracer: Tracer,
+        tracer: Optional[TelemetryBus],
         fabric: NetworkFabric,
         server: TrustedServer,
         vehicles: Optional[list[Vehicle]] = None,

@@ -4,9 +4,9 @@ A :class:`CampaignEngine` drives one :class:`~repro.campaign.spec.CampaignSpec`
 against one :class:`~repro.api.platform.Platform`.  It never busy-waits:
 wave dispatch, health-gate evaluation, promotion, retries, and rollback
 all run as callbacks on the shared simulator, triggered either by the
-control plane's installation events (see
-:meth:`~repro.server.services.deployments.DeploymentService.add_listener`)
-or by scheduled wave/rollback timeout timers.  ``run()`` simply steps
+control plane's ``deploy`` events on its
+:class:`~repro.telemetry.TelemetryBus` or by scheduled wave/rollback
+timeout timers.  ``run()`` simply steps
 the kernel until the campaign reaches a terminal status.
 
 Engines created through ``Platform.stage_campaign`` are registered with
@@ -53,9 +53,8 @@ from repro.server.services.campaigns import (
     PHASE_ROLLING_BACK,
     CampaignService,
 )
-from repro.server.services.deployments import ServerEvent
 from repro.sim.kernel import SECOND, EventHandle, format_time
-from repro.telemetry.soak import SoakMonitor, VehicleBaseline
+from repro.telemetry import SoakMonitor, TelemetryEvent, VehicleBaseline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.platform import Platform
@@ -100,9 +99,9 @@ class CampaignEngine:
         self._rollback_pending: set[str] = set()
         self._timer: Optional[EventHandle] = None
         self._timer_generation = 0
-        #: Telemetry plumbing: the control plane's bounded event bus
-        #: (None only for exotic server stand-ins without one).
-        self._bus = getattr(self._api, "telemetry", None)
+        #: The control plane's event bus: install events come in on
+        #: it, and the timeline goes out on it.
+        self._bus = self._api.telemetry
         self._baseline: dict[str, VehicleBaseline] = {}
         self._soak_monitor: Optional[SoakMonitor] = None
         self._soak_generation = 0
@@ -118,8 +117,8 @@ class CampaignEngine:
     def _check_orphaned(self) -> bool:
         """Retire quietly if a server restart replaced the control plane.
 
-        The engine's claims, listener registration, and record ownership
-        all lived in the pre-restart services; acting on the rebuilt
+        The engine's claims, bus taps, and record ownership all lived
+        in the pre-restart services; acting on the rebuilt
         ones (abandoning records a resumed run re-created, overwriting
         the record's post-restart status) would corrupt the successor's
         state.  An orphaned engine stops without touching the database.
@@ -129,9 +128,8 @@ class CampaignEngine:
         if not self.done:
             self.done = True
             self._disarm_timer()
-            self._api.deployments.remove_listener(self._on_server_event)
-            if self._bus is not None:
-                self._bus.unsubscribe(self._on_telemetry)
+            self._bus.unsubscribe(self._on_server_event)
+            self._bus.unsubscribe(self._on_telemetry)
             self._soak_monitor = None
             self.report.status = "orphaned"
             self._log("campaign_orphaned", detail="server restarted")
@@ -145,14 +143,13 @@ class CampaignEngine:
         self.report.events.append(
             CampaignEvent(self._sim.now, kind, self._wave_index, vin, detail)
         )
-        if self._bus is not None:
-            # Mirror the timeline onto the observability pipeline: the
-            # feed for the future live event-stream endpoint.
-            self._bus.publish(
-                "campaign", kind, self._sim.now, vin=vin,
-                campaign_id=self.campaign_id, wave=self._wave_index,
-                detail=detail,
-            )
+        # Mirror the timeline onto the observability pipeline (the
+        # gateway's live event stream reads it there).
+        self._bus.publish(
+            "campaign", kind, self._sim.now, vin=vin,
+            campaign_id=self.campaign_id, wave=self._wave_index,
+            detail=detail,
+        )
 
     def _arm_timer(self, delay_us: int, callback) -> None:
         self._timer_generation += 1
@@ -199,8 +196,7 @@ class CampaignEngine:
         targets = self.spec.resolve_targets(self.platform.vins, resolve)
         waves = self.spec.partition_targets(targets, resolve)
         self.report.started_us = self._sim.now
-        if self._bus is not None:
-            self._bus_t0 = (self._bus.published(), self._bus.dropped())
+        self._bus_t0 = (self._bus.published(), self._bus.dropped())
         pusher = self._api.pusher
         self._pusher_t0 = (pusher.pushed, pusher.dropped_messages)
         # Pre-flight: statically verify the target APP before wave 1.
@@ -221,8 +217,7 @@ class CampaignEngine:
                 "baseline_captured",
                 detail=f"{len(self._baseline)} vehicles",
             )
-            if self._bus is not None:
-                self._bus.subscribe(self._on_telemetry, categories=("diag",))
+            self._bus.subscribe(self._on_telemetry, categories=("diag",))
         self.report.waves = [
             WaveReport(
                 index=index,
@@ -231,7 +226,7 @@ class CampaignEngine:
             )
             for index, wave in enumerate(waves)
         ]
-        self._deployments.add_listener(self._on_server_event)
+        self._bus.subscribe(self._on_server_event, categories=("deploy",))
         if self.service is not None:
             self.service.on_started(self.campaign_id, self._sim.now)
         if not waves:
@@ -338,23 +333,21 @@ class CampaignEngine:
 
     # -- event handling --------------------------------------------------------
 
-    def _on_server_event(self, event: ServerEvent) -> None:
+    def _on_server_event(self, event: TelemetryEvent) -> None:
         if self.done or self._check_orphaned():
             return
-        if event.app_name != self.spec.app_name:
+        if event.data["app"] != self.spec.app_name:
             return
-        if event.kind == "install_resolved":
-            self._on_install_resolved(event.vin, event.status)
-        elif event.kind in ("uninstall_done", "uninstall_failed"):
-            self._on_uninstall_event(event.vin, event.kind)
+        if event.name == "install_resolved":
+            self._on_install_resolved(event.vin, event.data["status"])
+        elif event.name in ("uninstall_done", "uninstall_failed"):
+            self._on_uninstall_event(event.vin, event.name)
 
-    def _on_install_resolved(
-        self, vin: str, status: Optional[InstallStatus]
-    ) -> None:
+    def _on_install_resolved(self, vin: str, status: str) -> None:
         if vin not in self._pending:
             return
         wave = self.report.waves[self._wave_index]
-        if status is InstallStatus.ACTIVE:
+        if status == InstallStatus.ACTIVE.value:
             self._pending.discard(vin)
             self._release([vin])
             wave.updated += 1
@@ -731,12 +724,11 @@ class CampaignEngine:
         self.report.finished_us = self._sim.now
         self._log("campaign_done", detail=status)
         self._soak_monitor = None
-        if self._bus is not None:
-            self._bus.unsubscribe(self._on_telemetry)
+        self._bus.unsubscribe(self._on_telemetry)
         # Snapshot metrics before the service persists the report so the
         # database copy carries them too.
         self.report.metrics = self._snapshot_metrics()
-        self._deployments.remove_listener(self._on_server_event)
+        self._bus.unsubscribe(self._on_server_event)
         if self.injector is not None:
             self.injector.detach()
         if self.service is not None:
@@ -795,14 +787,10 @@ class CampaignEngine:
                 }
             )
         pusher = self._api.pusher
-        telemetry = (
-            {
-                "published": self._bus.published() - self._bus_t0[0],
-                "dropped": self._bus.dropped() - self._bus_t0[1],
-            }
-            if self._bus is not None
-            else {"published": 0, "dropped": 0}
-        )
+        telemetry = {
+            "published": self._bus.published() - self._bus_t0[0],
+            "dropped": self._bus.dropped() - self._bus_t0[1],
+        }
         return {
             "campaign_duration_us": finished - report.started_us,
             "rollback_latency_us": rollback_latency,

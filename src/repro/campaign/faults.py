@@ -244,7 +244,8 @@ class FaultInjector:
         # Live allocations modelling a resource leak; held so the
         # drained blocks stay gone for the rest of the run.
         self._drained: list = []
-        self._deployments = None
+        #: The control plane's bus while soak anomalies are armed.
+        self._bus = None
         self._attached = False
 
     def _stream(self, vin: str) -> SeededStream:
@@ -274,8 +275,8 @@ class FaultInjector:
         if self._faults_soak:
             # Soak anomalies arm when an install resolves ACTIVE — the
             # vehicle said yes, then misbehaves.
-            self._deployments = self.platform.server.api.deployments
-            self._deployments.add_listener(self._on_server_event)
+            self._bus = self.platform.server.api.telemetry
+            self._bus.subscribe(self._on_server_event, categories=("deploy",))
         if self.plan.offline_rate > 0:
             for vin in self.platform.vins:
                 stream = self._stream(vin)
@@ -299,9 +300,9 @@ class FaultInjector:
             return
         self._attached = False
         self.platform.server.pusher.set_push_filter(None)
-        if self._deployments is not None:
-            self._deployments.remove_listener(self._on_server_event)
-            self._deployments = None
+        if self._bus is not None:
+            self._bus.unsubscribe(self._on_server_event)
+            self._bus = None
 
     # -- fault primitives ------------------------------------------------------
 
@@ -336,9 +337,9 @@ class FaultInjector:
 
     def _on_server_event(self, event) -> None:
         """Arm post-install anomalies when an install resolves ACTIVE."""
-        if event.kind != "install_resolved":
+        if event.name != "install_resolved":
             return
-        if event.status is not InstallStatus.ACTIVE:
+        if event.data["status"] != InstallStatus.ACTIVE.value:
             return
         vin = event.vin
         if vin in self._anomalies_armed:
@@ -362,19 +363,19 @@ class FaultInjector:
         if trap:
             self.platform.sim.schedule(
                 plan.soak_trap_after_us,
-                lambda: self._inject_trap_burst(vin, event.app_name),
+                lambda: self._inject_trap_burst(vin, event.data["app"]),
                 f"faults:soak-trap:{vin}",
             )
         if drain:
             self.platform.sim.schedule(
                 plan.soak_drain_after_us,
-                lambda: self._inject_drain(vin, event.app_name),
+                lambda: self._inject_drain(vin, event.data["app"]),
                 f"faults:soak-drain:{vin}",
             )
         if fuel:
             self.platform.sim.schedule(
                 plan.soak_fuel_after_us,
-                lambda: self._inject_fuel_burn(vin, event.app_name),
+                lambda: self._inject_fuel_burn(vin, event.data["app"]),
                 f"faults:soak-fuel:{vin}",
             )
 

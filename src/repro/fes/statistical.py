@@ -300,10 +300,10 @@ def calibrate_model(
     start = fleet.sim.now
 
     def on_event(event) -> None:
-        if event.kind == "install_resolved":
+        if event.name == "install_resolved":
             resolved.append(fleet.sim.now - start)
 
-    fleet.api.deployments.add_listener(on_event)
+    fleet.api.telemetry.subscribe(on_event, categories=("deploy",))
     try:
         fleet.deploy(app.name)
         deadline = fleet.sim.now + settle_us
@@ -311,7 +311,7 @@ def calibrate_model(
             if not fleet.sim.step():
                 break
     finally:
-        fleet.api.deployments.remove_listener(on_event)
+        fleet.api.telemetry.unsubscribe(on_event)
     if not resolved:
         return StatisticalModel(**overrides)
     mean = sum(resolved) // len(resolved)

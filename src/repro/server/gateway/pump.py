@@ -60,9 +60,9 @@ class CommandPump:
     """Bridges HTTP worker threads onto the simulator thread.
 
     ``metrics`` (a :class:`~repro.telemetry.MetricsRegistry`) receives
-    ``gateway.commands`` (executed count), ``gateway.queue.depth``
-    (drained per tick, a gauge), and ``gateway.queue.rejected``
-    (submissions after close).
+    ``gateway.commands`` (executed count) and ``gateway.queue.depth``
+    (a gauge: commands drained by the last tick that drained any, and 0
+    once a tick finds the queue empty).
     """
 
     def __init__(
@@ -80,6 +80,7 @@ class CommandPump:
         self._handles: list = []
         self._attached = False
         self.executed = 0
+        self._last_drained = 0
 
     # -- sim side --------------------------------------------------------------
 
@@ -146,7 +147,9 @@ class CommandPump:
             self.executed += drained
             if self.metrics is not None:
                 self.metrics.inc("gateway.commands", drained)
-                self.metrics.set_gauge("gateway.queue.depth", drained)
+        if self.metrics is not None and (drained or self._last_drained):
+            self.metrics.set_gauge("gateway.queue.depth", drained)
+        self._last_drained = drained
         return drained
 
     def _reject_pending(self, reason: str) -> None:

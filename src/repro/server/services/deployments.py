@@ -4,8 +4,10 @@ The paper's plug-in (re)deployment operations (Sec. 3.2.2) as one
 cohesive control-plane service: deploy, uninstall, batch dispatch,
 retry, abandon, update, restore, and reconcile — all returning uniform
 :class:`~repro.server.services.envelope.Response` envelopes — plus the
-upstream acknowledgement pump and the installation event bus campaign
-engines subscribe to.
+upstream acknowledgement pump.  Installation state changes are
+published as ``deploy`` events on the control plane's
+:class:`~repro.telemetry.TelemetryBus`; campaign engines, fault
+injectors and model calibration tap that category.
 
 This is the single code path for installation status queries;
 ``Platform.installation_status`` delegates here.
@@ -14,10 +16,10 @@ This is the single code path for installation status queries;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.core import messages as msg
-from repro.errors import ServerError, UnknownEntityError
+from repro.errors import PackagingError, ServerError, UnknownEntityError
 from repro.server.database import Database
 from repro.server.models import (
     InstallStatus,
@@ -29,6 +31,7 @@ from repro.server.contextgen import PackageCache, generate_packages
 from repro.server.pusher import Pusher
 from repro.server.services.appstore import AppStore
 from repro.server.services.envelope import ErrorCode, Response
+from repro.telemetry import TelemetryBus
 
 
 @dataclass
@@ -55,26 +58,6 @@ class InstallProgress(NamedTuple):
         return self.total - self.acked - self.failed
 
 
-@dataclass(frozen=True)
-class ServerEvent:
-    """Notification emitted when an installation record changes state.
-
-    ``kind`` is one of ``install_resolved`` (status reached ACTIVE or
-    FAILED), ``uninstall_done`` (record removed after all uninstall
-    acks), ``uninstall_failed`` (a negative uninstall ack), or
-    ``update_redeploy_failed`` (an :meth:`DeploymentService.update`
-    removed the old version but the server rejected re-deploying the
-    new one — the app is now absent from the vehicle).  Campaign
-    engines subscribe via :meth:`DeploymentService.add_listener`
-    instead of polling statuses.
-    """
-
-    kind: str
-    vin: str
-    app_name: str
-    status: Optional[InstallStatus] = None
-
-
 class DeploymentService:
     """The install/uninstall control plane."""
 
@@ -83,36 +66,26 @@ class DeploymentService:
         db: Database,
         pusher: Pusher,
         store: AppStore,
-        telemetry=None,
+        telemetry: TelemetryBus,
     ) -> None:
         self.db = db
         self.pusher = pusher
         self.store = store
-        #: Optional :class:`~repro.telemetry.TelemetryBus`; deployment
-        #: life-cycle events and relayed DiagMessage telemetry are
-        #: published onto it (duck-typed, None when unwired).
+        #: Deployment life-cycle events and relayed DiagMessage
+        #: telemetry are published onto this bus.
         self.telemetry = telemetry
         self.deploys = 0
         self.rejected_deploys = 0
         self.acks_processed = 0
+        #: Upstream frames dropped because they failed to decode.
+        self.malformed_frames = 0
         # (vin, app_name) -> user_id: update waiting for uninstall acks.
         self._pending_updates: dict[tuple[str, str], str] = {}
-        self._listeners: list[Callable[[ServerEvent], None]] = []
         #: Install packages shared by vehicles that would get identical
         #: ones (see :class:`~repro.server.contextgen.PackageCache`).
         self.packages = PackageCache()
 
     # -- events ---------------------------------------------------------------
-
-    def add_listener(self, callback: Callable[[ServerEvent], None]) -> None:
-        """Subscribe to installation state-change events."""
-        if callback not in self._listeners:
-            self._listeners.append(callback)
-
-    def remove_listener(self, callback: Callable[[ServerEvent], None]) -> None:
-        """Unsubscribe a previously added listener (no-op if absent)."""
-        if callback in self._listeners:
-            self._listeners.remove(callback)
 
     def _emit(
         self,
@@ -121,14 +94,21 @@ class DeploymentService:
         app_name: str,
         status: Optional[InstallStatus] = None,
     ) -> None:
-        event = ServerEvent(kind, vin, app_name, status)
-        if self.telemetry is not None:
-            self.telemetry.publish(
-                "deploy", kind, self.pusher.now, vin=vin,
-                app=app_name, status=status.value if status else "",
-            )
-        for callback in list(self._listeners):
-            callback(event)
+        """Publish one ``deploy`` event for ``app_name`` on ``vin``.
+
+        ``kind`` is ``install_resolved`` (status reached ACTIVE or
+        FAILED), ``uninstall_done`` (record removed after all uninstall
+        acks), ``uninstall_failed`` (a negative uninstall ack), or
+        ``update_redeploy_failed`` (an :meth:`update` removed the old
+        version but the server rejected re-deploying the new one — the
+        app is now absent from the vehicle).  ``data["status"]`` is the
+        status value, or ``""``.  ``malformed_frame`` (with app ``""``)
+        reports an upstream frame that failed to decode.
+        """
+        self.telemetry.publish(
+            "deploy", kind, self.pusher.now, vin=vin,
+            app=app_name, status=status.value if status else "",
+        )
 
     # -- deployment -----------------------------------------------------------
 
@@ -445,20 +425,26 @@ class DeploymentService:
 
     def on_vehicle_message(self, vin: str, raw: bytes) -> None:
         """Handle one upstream message (ack/diag) from a vehicle's ECM."""
-        message = msg.decode(raw)
+        try:
+            message = msg.decode(raw)
+        except PackagingError:
+            # Dropped, not raised: this runs in a kernel callback, and a
+            # raise would end the simulation for every vehicle.
+            self.malformed_frames += 1
+            self._emit("malformed_frame", vin, "")
+            return
         if isinstance(message, msg.DiagMessage):
             self.db.vehicle(vin).health[message.source_swc] = message
-            if self.telemetry is not None:
-                self.telemetry.publish(
-                    "diag", "report", self.pusher.now, vin=vin,
-                    swc=message.source_swc,
-                    traps=sum(p.traps for p in message.plugins),
-                    activations=sum(p.activations for p in message.plugins),
-                    fuel_used=sum(p.fuel_used for p in message.plugins),
-                    memory_used_blocks=message.memory_used_blocks,
-                    memory_free_blocks=message.memory_free_blocks,
-                    plugins=len(message.plugins),
-                )
+            self.telemetry.publish(
+                "diag", "report", self.pusher.now, vin=vin,
+                swc=message.source_swc,
+                traps=sum(p.traps for p in message.plugins),
+                activations=sum(p.activations for p in message.plugins),
+                fuel_used=sum(p.fuel_used for p in message.plugins),
+                memory_used_blocks=message.memory_used_blocks,
+                memory_free_blocks=message.memory_free_blocks,
+                plugins=len(message.plugins),
+            )
             return
         if not isinstance(message, msg.AckMessage):
             return
@@ -628,5 +614,4 @@ class DeploymentService:
 __all__ = [
     "DeploymentService",
     "InstallProgress",
-    "ServerEvent",
 ]

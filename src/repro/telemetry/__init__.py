@@ -9,7 +9,11 @@ package provides the three pieces:
   pipeline with exact drop accounting and subscriber taps.  The server
   control plane (:class:`~repro.server.services.fleetapi.FleetAPI`)
   owns one and feeds it diag reports, deployment life-cycle events,
-  pusher back-pressure, and campaign timeline entries.
+  pusher back-pressure, and campaign timeline entries; campaign engines
+  and fault injectors tap its ``deploy`` events.  It is the only event
+  mechanism: vehicle subsystems (ECU, OS, RTE, CAN, network, PIRTE)
+  publish their trace points onto a bus of their own, passed to them
+  as ``tracer`` (``platform.tracer``).
 * :class:`MetricsRegistry` — counters, gauges, and windowed quantile
   histograms.
 * :class:`SoakPolicy` — the telemetry-driven wave gate: sample the

@@ -22,7 +22,9 @@ Design points:
   eviction, so a live consumer (the campaign engine's soak monitor, a
   future event-stream endpoint) is never subject to buffer pressure.
   Taps run synchronously in publish order, which keeps runs
-  deterministic under the simulation kernel.
+  deterministic under the simulation kernel.  An event published from
+  inside a tap is queued and reaches the taps only after the current
+  event has reached all of them, so every tap sees the same order.
 
 The bus itself is clock-free: publishers stamp events with simulated
 time, so the bus works identically under the kernel and in plain unit
@@ -94,6 +96,9 @@ class TelemetryBus:
         self._taps: list[
             tuple[Callable[[TelemetryEvent], None], Optional[frozenset]]
         ] = []
+        #: Events not yet delivered to every tap; the head is the one
+        #: being delivered.
+        self._pending: Deque[TelemetryEvent] = deque()
 
     # -- configuration ---------------------------------------------------------
 
@@ -129,13 +134,8 @@ class TelemetryBus:
         vin: str = "",
         **data: Any,
     ) -> TelemetryEvent:
-        """Record one event; returns it (taps have already seen it)."""
-        return self.publish_event(
-            TelemetryEvent(time_us, category, name, vin, data)
-        )
-
-    def publish_event(self, event: TelemetryEvent) -> TelemetryEvent:
-        category = event.category
+        """Record one event and deliver it to the taps; returns it."""
+        event = TelemetryEvent(time_us, category, name, vin, data)
         self._published[category] = self._published.get(category, 0) + 1
         capacity = self.capacity(category)
         if capacity == 0:
@@ -150,9 +150,21 @@ class TelemetryBus:
             if len(buffer) == capacity:
                 self._dropped[category] = self._dropped.get(category, 0) + 1
             buffer.append(event)
-        for callback, categories in list(self._taps):
-            if categories is None or category in categories:
-                callback(event)
+        pending = self._pending
+        pending.append(event)
+        if len(pending) > 1:
+            # Published from inside a tap: delivered once the current
+            # event has reached every tap, so all taps see one order.
+            return event
+        try:
+            while pending:
+                head = pending[0]
+                for callback, categories in list(self._taps):
+                    if categories is None or head.category in categories:
+                        callback(head)
+                pending.popleft()
+        finally:
+            pending.clear()
         return event
 
     # -- taps ------------------------------------------------------------------

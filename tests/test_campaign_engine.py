@@ -386,7 +386,7 @@ class TestInstallProgress:
         fleet.run(1 * SECOND)
         api = fleet.server.api
         events = []
-        api.deployments.add_listener(events.append)
+        api.telemetry.subscribe(events.append, categories=("deploy",))
         result = api.deployments.deploy(fleet.user_id, vin, APP)
         assert result.ok
         installed = fleet.server.db.installation(vin, APP)
@@ -404,10 +404,10 @@ class TestInstallProgress:
             api.deployments.installation_status(vin, APP)
             is InstallStatus.FAILED
         )
-        # The resolution was pushed to listeners, not polled.
+        # The resolution was pushed to bus taps, not polled.
         assert [
-            (e.kind, e.vin, e.status) for e in events
-        ] == [("install_resolved", vin, InstallStatus.FAILED)]
+            (e.name, e.vin, e.data["status"]) for e in events
+        ] == [("install_resolved", vin, InstallStatus.FAILED.value)]
 
     def test_stale_nack_cannot_demote_active_install(self):
         # A duplicate package (retry racing a delayed original) gets

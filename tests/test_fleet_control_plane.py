@@ -150,12 +150,12 @@ class TestEnvelopes:
             App(APP, "2.0", {"fat_p": fat}, [conf])
         ).unwrap()
         events = []
-        fleet.api.deployments.add_listener(events.append)
+        fleet.api.telemetry.subscribe(events.append, categories=("deploy",))
         assert fleet.api.deployments.update(fleet.user_id, vin, APP).ok
         fleet.sim.run_for(5 * SECOND)
         assert fleet.installation_status(vin, APP) is None
         assert any(
-            event.kind == "update_redeploy_failed" and event.vin == vin
+            event.name == "update_redeploy_failed" and event.vin == vin
             for event in events
         )
         # The failure is queryable (and restart-safe), so portals can
@@ -210,6 +210,29 @@ class TestEnvelopes:
         assert record.status is InstallStatus.REMOVING  # not FAILED
         fleet.sim.run_for(5 * SECOND)
         assert fleet.installation_status(vin, APP) is None
+
+    def test_malformed_upstream_frame_is_dropped_and_counted(self):
+        """A frame that fails to decode must not raise out of the
+        upstream handler (it runs in a kernel callback)."""
+        from repro.core import messages as msg
+
+        fleet = make_fleet(1)
+        vin = fleet.vins[0]
+        fleet.run(1 * SECOND)
+        deployments = fleet.api.deployments
+        deployments.deploy(fleet.user_id, vin, APP).unwrap()
+        fleet.server.pusher.inject_upstream(vin, b"\x07\xff\xff\x00garbage")
+        assert deployments.malformed_frames == 1
+        [event] = fleet.api.telemetry.events("deploy", "malformed_frame")
+        assert event.vin == vin
+        record = fleet.server.db.installation(vin, APP)
+        for plugin in record.plugins:
+            ack = msg.AckMessage(
+                plugin.plugin_name, plugin.swc_name,
+                msg.MessageType.INSTALL, msg.AckStatus.OK,
+            )
+            fleet.server.pusher.inject_upstream(vin, ack.encode())
+        assert fleet.installation_status(vin, APP) is InstallStatus.ACTIVE
 
     def test_explicit_uninstall_cancels_pending_update(self):
         """uninstall() after update() removes the app for good — the

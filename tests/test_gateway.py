@@ -44,6 +44,7 @@ from repro.server.gateway.stream import (
 from repro.server.gateway.wire import HTTP_STATUS, decode, encode, http_status
 from repro.server.services import FleetSelector as S
 from repro.server.services.envelope import ErrorCode, Response, wire_value
+from repro.telemetry import MetricsRegistry
 from repro.telemetry.bus import TelemetryBus
 
 APP = "remote-control"
@@ -319,6 +320,34 @@ class TestCommandPump:
         # The closure ran on the sim thread at a real event boundary.
         assert isinstance(result["value"], int) and result["value"] > 0
         pump.detach()
+
+    def test_queue_depth_gauge_resets_once_the_queue_empties(self):
+        fleet = make_fleet(size=1)
+        metrics = MetricsRegistry()
+        pump = CommandPump(fleet.sim, metrics=metrics)
+        workers = [
+            threading.Thread(
+                target=pump.submit,
+                args=(lambda: Response.success(),),
+                kwargs={"timeout_s": 10.0},
+            )
+            for _ in range(3)
+        ]
+        for w in workers:
+            w.start()
+        deadline = time.monotonic() + 10.0
+        while pump._queue.qsize() < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert pump.pump() == 3
+        for w in workers:
+            w.join(timeout=5.0)
+        assert metrics.gauge_value("gateway.queue.depth") == 3
+        assert pump.pump() == 0
+        assert metrics.gauge_value("gateway.queue.depth") == 0
+        # Later idle ticks write nothing.
+        metrics.set_gauge("gateway.queue.depth", 7)
+        pump.pump()
+        assert metrics.gauge_value("gateway.queue.depth") == 7
 
     def test_submit_times_out_when_nothing_pumps(self):
         fleet = make_fleet(size=1)

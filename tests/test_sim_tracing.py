@@ -1,58 +1,41 @@
-"""Unit tests for tracing and seeded randomness."""
+"""Unit tests for tracing, latency statistics and seeded randomness."""
 
 import pytest
 
-from repro.sim import LatencyStats, SeededStream, StreamFactory, Tracer
+from repro.sim import LatencyStats, SeededStream, StreamFactory
 from repro.sim.random import derive_seed
+from repro.telemetry import TelemetryBus
 
 
 class TestTracer:
+    """The telemetry bus in its role as the ``tracer`` subsystems emit to."""
+
     def test_emit_and_count(self):
-        tracer = Tracer()
-        tracer.emit(10, "rte", "write", port="p1")
-        tracer.emit(20, "rte", "write", port="p2")
-        tracer.emit(30, "rte", "read", port="p1")
-        assert tracer.count("rte") == 3
-        assert tracer.count("rte", "write") == 2
+        tracer = TelemetryBus()
+        tracer.publish("rte", "write", 10, port="p1")
+        tracer.publish("rte", "write", 20, port="p2")
+        tracer.publish("rte", "read", 30, port="p1")
+        assert tracer.published("rte") == 3
+        assert len(tracer.events("rte", "write")) == 2
 
     def test_select_filters_by_data(self):
-        tracer = Tracer()
-        tracer.emit(10, "rte", "write", port="p1")
-        tracer.emit(20, "rte", "write", port="p2")
-        points = tracer.select("rte", "write", port="p2")
+        tracer = TelemetryBus()
+        tracer.publish("rte", "write", 10, port="p1")
+        tracer.publish("rte", "write", 20, port="p2")
+        points = [
+            event
+            for event in tracer.events("rte", "write")
+            if event.data["port"] == "p2"
+        ]
         assert len(points) == 1
-        assert points[0].time == 20
-
-    def test_disabled_tracer_counts_but_stores_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(10, "can", "tx_start", can_id=5)
-        assert tracer.count("can", "tx_start") == 1
-        assert tracer.points == []
+        assert points[0].time_us == 20
 
     def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(10, "a", "b")
+        tracer = TelemetryBus()
+        tracer.publish("a", "b", 10)
         tracer.clear()
-        assert tracer.count("a") == 0
-        assert tracer.points == []
-
-    def test_pair_latencies_fifo_matching(self):
-        tracer = Tracer()
-        tracer.emit(100, "net", "send", msg=1)
-        tracer.emit(150, "net", "send", msg=2)
-        tracer.emit(300, "net", "deliver", msg=1)
-        tracer.emit(500, "net", "deliver", msg=2)
-        lats = tracer.pair_latencies(
-            ("net", "send"), ("net", "deliver"), key="msg"
-        )
-        assert lats == [200, 350]
-
-    def test_pair_latencies_unmatched_end_ignored(self):
-        tracer = Tracer()
-        tracer.emit(300, "net", "deliver", msg=9)
-        assert tracer.pair_latencies(
-            ("net", "send"), ("net", "deliver"), key="msg"
-        ) == []
+        assert tracer.published("a") == 0
+        assert tracer.events() == []
 
 
 class TestLatencyStats:

@@ -46,6 +46,14 @@ class TestTelemetryBus:
         assert [e.time_us for e in bus.events(vin="VIN-1")] == [30, 10]
         assert bus.events("diag", vin="VIN-2")[0].data["traps"] == 3
         assert bus.categories() == ["deploy", "diag"]
+        assert len(bus.events("diag", "report")) == 2
+        assert bus.events("diag", "install_resolved") == []
+        assert [e.name for e in bus.events(name="install_resolved")] == [
+            "install_resolved"
+        ]
+        bus.clear()
+        assert bus.published() == 0 and bus.published("diag") == 0
+        assert bus.events() == [] and bus.categories() == []
 
     def test_ring_eviction_counts_drops(self):
         bus = TelemetryBus(default_capacity=2)
@@ -85,6 +93,20 @@ class TestTelemetryBus:
         bus.publish("diag", "report", 3)
         assert [e.time_us for e in diag_only] == [1]
         assert [e.time_us for e in everything] == [1, 2, 3]
+
+    def test_publish_from_a_tap_reaches_later_taps_after_the_event(self):
+        bus = TelemetryBus()
+
+        def tap_a(event):
+            if event.name == "X":
+                bus.publish("campaign", "Y", event.time_us)
+
+        seen = []
+        bus.subscribe(tap_a, categories=("deploy",))
+        bus.subscribe(lambda event: seen.append(event.name))
+        bus.publish("deploy", "X", 1)
+        assert seen == ["X", "Y"]
+        assert bus.published() == 2
 
     def test_shrinking_capacity_evicts_and_counts(self):
         bus = TelemetryBus(default_capacity=4)
