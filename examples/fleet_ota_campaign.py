@@ -62,7 +62,7 @@ def main() -> None:
     selector = FleetSelector.region("eu-north") & FleetSelector.installed(
         "remote-control"
     )
-    updated_eu = fleet.query(selector)
+    updated_eu = fleet.api.vehicles.query(selector).unwrap()
     print(f"   eu-north vehicles running remote-control: "
           f"{[view.vin for view in updated_eu]}")
     assert all(view.region == "eu-north" for view in updated_eu)

@@ -76,12 +76,9 @@ from repro.api import (
     VehicleBuilder,
 )
 from repro.fes import (
-    ExamplePlatform,
-    Fleet,
     Smartphone,
     build_example_platform,
     build_fleet,
-    build_fleet_from_specs,
 )
 from repro.sim import MS, SECOND
 
@@ -120,12 +117,9 @@ __all__ = [
     "RollbackPolicy",
     "SoakPolicy",
     # demonstrator + fleets
-    "ExamplePlatform",
-    "Fleet",
     "Smartphone",
     "build_example_platform",
     "build_fleet",
-    "build_fleet_from_specs",
     # time units
     "MS",
     "SECOND",

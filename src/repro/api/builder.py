@@ -34,7 +34,7 @@ declaration time where possible and at ``build()`` otherwise.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Type, Union
+from typing import Optional, Sequence, Union
 
 from repro.api.platform import Platform
 from repro.autosar.swc import ComponentType
@@ -258,37 +258,10 @@ class VehicleBuilder:
 
     def to_spec(self, server_address: Optional[str] = None) -> VehicleSpec:
         """Validate the declaration and produce a :class:`VehicleSpec`."""
-        if not self._ecus:
-            raise ConfigurationError(
-                f"vehicle {self.vin} declares no ECUs"
-            )
         if self._ecm is None:
             raise ConfigurationError(
                 f"vehicle {self.vin} declares no ECM placement"
             )
-        placements = self._all_placements()
-        names = {p.instance_name for p in placements}
-        for placement in placements:
-            if placement.ecu_name not in self._ecus:
-                raise ConfigurationError(
-                    f"vehicle {self.vin}: SW-C "
-                    f"{placement.instance_name!r} placed on unknown ECU "
-                    f"{placement.ecu_name!r}"
-                )
-            for relay in placement.spec.relays:
-                if relay.peer not in names:
-                    raise ConfigurationError(
-                        f"vehicle {self.vin}: SW-C "
-                        f"{placement.instance_name!r} relays to "
-                        f"undeclared peer {relay.peer!r}"
-                    )
-        for legacy in self._legacy:
-            if legacy.ecu_name not in self._ecus:
-                raise ConfigurationError(
-                    f"vehicle {self.vin}: legacy component "
-                    f"{legacy.instance_name!r} placed on unknown ECU "
-                    f"{legacy.ecu_name!r}"
-                )
         return VehicleSpec(
             vin=self.vin,
             model=self.model,
@@ -301,7 +274,7 @@ class VehicleBuilder:
             connectors=list(self._connectors),
             server_address=server_address or self._scenario._server_address,
             can_bitrate=self._can_bitrate,
-        )
+        ).validate()
 
 
 class AppBuilder:
@@ -477,7 +450,7 @@ class ScenarioBuilder:
         self._default_profile = default_profile or CELLULAR
         self._trace = trace
         self._vehicles: dict[str, Union[VehicleBuilder, VehicleSpec]] = {}
-        self._apps: list[Union[AppBuilder, App]] = []
+        self._apps: list[AppBuilder] = []
         self._phones: dict[str, ChannelProfile] = {}
         self._users: list[tuple[str, str]] = []
         self._statistical_model: Optional["StatisticalModel"] = None
@@ -546,13 +519,6 @@ class ScenarioBuilder:
         self._apps.append(builder)
         return builder
 
-    def add_app(self, app: App) -> "ScenarioBuilder":
-        """Add a prebuilt server :class:`App` for upload at build time."""
-        if any(existing.name == app.name for existing in self._apps):
-            raise ConfigurationError(f"duplicate APP {app.name!r}")
-        self._apps.append(app)
-        return self
-
     # -- build ---------------------------------------------------------------
 
     def vehicle_specs(self) -> list[VehicleSpec]:
@@ -564,7 +530,7 @@ class ScenarioBuilder:
             for entry in self._vehicles.values()
         ]
 
-    def build(self, platform_cls: Type[Platform] = Platform) -> Platform:
+    def build(self) -> Platform:
         """Assemble everything on one simulator; returns the platform.
 
         Construction order mirrors the hand-written assembly the
@@ -615,10 +581,9 @@ class ScenarioBuilder:
         server.api.vehicles.bind_many(
             owner, [spec.vin for spec in specs]
         ).unwrap()
-        for entry in self._apps:
-            app = entry.to_app() if isinstance(entry, AppBuilder) else entry
-            server.api.store.upload(app).unwrap()
-        return platform_cls(
+        for builder in self._apps:
+            server.api.store.upload(builder.to_app()).unwrap()
+        return Platform(
             sim, tracer, fabric, server,
             vehicles=vehicles, phones=phones, user_id=owner,
         )

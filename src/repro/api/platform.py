@@ -2,18 +2,18 @@
 
 A :class:`Platform` is what :meth:`~repro.api.builder.ScenarioBuilder.build`
 returns: every declared vehicle, phone, and app assembled on one shared
-discrete-event simulator and wide-area network fabric.  It generalizes
-the old hard-coded ``ExamplePlatform`` (one car) and ``Fleet`` (N clones
-of that car) — both are now thin subclasses — and supports heterogeneous
-vehicle populations (mixed ECU counts, different models) in one build.
+discrete-event simulator and wide-area network fabric.  The paper's
+one-car demonstrator and whole fleets — heterogeneous ones too (mixed
+ECU counts, different models) — are all plain platforms.
 
-Operationally the platform is a thin client over the server's
-:class:`~repro.server.services.fleetapi.FleetAPI` control plane:
-deploys go through ``api.deployments``, fleet queries through
-``api.vehicles`` (``deploy_to`` accepts a
-:class:`~repro.server.services.selector.FleetSelector` as target set),
-and campaigns are persisted by ``api.campaigns`` — which is what makes
-:meth:`resume_campaign` after a simulated server restart possible.
+The platform owns lookups, boot, deploys that return a
+:class:`~repro.api.deployment.Deployment` handle, and campaigns.
+Everything else is the server's
+:class:`~repro.server.services.fleetapi.FleetAPI` control plane, reached
+as ``platform.api``: install status through ``api.deployments``, fleet
+queries through ``api.vehicles``.  Campaigns are persisted by
+``api.campaigns`` — which is what makes :meth:`resume_campaign` after a
+simulated server restart possible.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.errors import ConfigurationError, UnknownEntityError
 from repro.fes.phone import Smartphone
 from repro.fes.vehicle import Vehicle
 from repro.network.sockets import NetworkFabric
-from repro.server.models import InstallStatus
 from repro.server.server import TrustedServer
 from repro.server.services.selector import FleetSelector
 from repro.sim.kernel import Simulator
@@ -40,7 +39,7 @@ class Platform:
     """A built scenario, bootable and deployable.
 
     ``boot()`` is guarded by a ``_booted`` flag so repeated ``boot()``
-    (or ``run()`` on fleets) never re-boots already-running vehicles.
+    (or ``run()``) never re-boots already-running vehicles.
     """
 
     def __init__(
@@ -73,8 +72,8 @@ class Platform:
     def vins(self) -> list[str]:
         return [vehicle.vin for vehicle in self.vehicles]
 
-    def _vehicle(self, vin: Optional[str] = None) -> Vehicle:
-        """Internal lookup (subclasses may shadow :meth:`vehicle`)."""
+    def vehicle(self, vin: Optional[str] = None) -> Vehicle:
+        """A built vehicle by VIN (the first one when ``vin`` is None)."""
         if vin is None:
             if not self.vehicles:
                 raise ConfigurationError("platform has no vehicles")
@@ -83,10 +82,6 @@ class Platform:
             if vehicle.vin == vin:
                 return vehicle
         raise UnknownEntityError(f"platform has no vehicle {vin!r}")
-
-    def vehicle(self, vin: Optional[str] = None) -> Vehicle:
-        """A built vehicle by VIN (the first one when ``vin`` is None)."""
-        return self._vehicle(vin)
 
     def phone(self, address: Optional[str] = None) -> Smartphone:
         """A phone by address (the first one when ``address`` is None)."""
@@ -100,10 +95,6 @@ class Platform:
             raise UnknownEntityError(
                 f"platform has no phone at {address!r}"
             ) from None
-
-    def query(self, selector: Optional[FleetSelector] = None) -> list:
-        """Portal-style fleet query: :class:`VehicleView` rows."""
-        return self.api.vehicles.query(selector).unwrap()
 
     def select_vins(self, selector: Optional[FleetSelector] = None) -> list[str]:
         """VINs of this platform matching ``selector``.
@@ -147,7 +138,7 @@ class Platform:
         With ``vin`` the request targets one vehicle; without it, every
         vehicle on the platform (a fleet campaign).
         """
-        vins = [self._vehicle(vin).vin] if vin is not None else self.vins
+        vins = [self.vehicle(vin).vin] if vin is not None else self.vins
         return self.deploy_to(app_name, vins, user_id=user_id)
 
     def deploy_to(
@@ -176,10 +167,6 @@ class Platform:
             user_id or self.user_id, vins, app_name, campaign=campaign
         )
         return Deployment(self, app_name, results)
-
-    def deploy_everywhere(self, app_name: str) -> Deployment:
-        """Request installation of ``app_name`` on every vehicle."""
-        return self.deploy(app_name)
 
     # -- campaigns -----------------------------------------------------------
 
@@ -251,42 +238,10 @@ class Platform:
         user_id: Optional[str] = None,
     ):
         """Request removal of ``app_name`` from one vehicle."""
-        target = self._vehicle(vin).vin
+        target = self.vehicle(vin).vin
         return self.api.deployments.uninstall(
             user_id or self.user_id, target, app_name
         )
-
-    def installation_status(
-        self, vin: str, app_name: str
-    ) -> Optional[InstallStatus]:
-        """Server-side install status (single DeploymentService code path)."""
-        return self.api.deployments.installation_status(vin, app_name)
-
-    def active_count(self, app_name: str) -> int:
-        """Vehicles on which ``app_name`` is fully installed and acked."""
-        status = self.api.deployments.installation_status
-        return sum(
-            1
-            for vehicle in self.vehicles
-            if status(vehicle.vin, app_name) is InstallStatus.ACTIVE
-        )
-
-    def run_until_active(
-        self, app_name: str, timeout_us: int, step_us: int = 50_000
-    ) -> int:
-        """Advance time until all installs acked; returns elapsed us.
-
-        Legacy polling interface kept for experiments that deploy
-        through the raw server operations; new code should use
-        :meth:`deploy` and :meth:`Deployment.wait` instead.
-        """
-        self.boot()
-        start = self.sim.now
-        while self.sim.now - start < timeout_us:
-            self.sim.run_for(step_us)
-            if self.active_count(app_name) == len(self.vehicles):
-                return self.sim.now - start
-        return -1
 
     # -- observation ---------------------------------------------------------
 
@@ -294,7 +249,7 @@ class Platform:
         self, instance: str = "actuators", vin: Optional[str] = None
     ) -> dict:
         """The state dict of a legacy component on one vehicle."""
-        return self._vehicle(vin).system.instance(instance).state
+        return self.vehicle(vin).system.instance(instance).state
 
     def __repr__(self) -> str:
         return (

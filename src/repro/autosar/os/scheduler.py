@@ -93,15 +93,6 @@ class Cpu:
         self._schedule_decision()
         return True
 
-    def activate_by_name(self, task_name: str, item: WorkItem) -> bool:
-        """Convenience: activate a task looked up by name."""
-        return self.activate(self.task(task_name), item)
-
-    @property
-    def running_task(self) -> Optional[Task]:
-        """The task currently occupying the CPU, if any."""
-        return self._current
-
     def utilization(self) -> float:
         """Fraction of elapsed simulated time the CPU was busy."""
         if self.sim.now == 0:

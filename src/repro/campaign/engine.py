@@ -192,9 +192,10 @@ class CampaignEngine:
         self.platform.boot()
         if self.injector is not None:
             self.injector.attach()
-        resolve = self.platform.server.api.vehicles.resolve
-        targets = self.spec.resolve_targets(self.platform.vins, resolve)
-        waves = self.spec.partition_targets(targets, resolve)
+        targets = self.platform.select_vins(self.spec.selector)
+        waves = self.spec.partition_targets(
+            targets, self.platform.server.api.vehicles.resolve
+        )
         self.report.started_us = self._sim.now
         self._bus_t0 = (self._bus.published(), self._bus.dropped())
         pusher = self._api.pusher

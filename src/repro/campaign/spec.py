@@ -427,24 +427,6 @@ class CampaignSpec:
             return self.canary_health
         return self.health
 
-    def resolve_targets(
-        self,
-        vins: Sequence[str],
-        resolve: Optional[Callable[[str], object]] = None,
-    ) -> list[str]:
-        """Targeted VINs, evaluating FleetSelectors via ``resolve``.
-
-        ``resolve(vin)`` returns the server's vehicle record (the
-        engine passes ``api.vehicles.resolve``).
-        """
-        if self.selector is None:
-            return list(vins)
-        if resolve is None:
-            raise ConfigurationError(
-                "FleetSelector targeting needs a vehicle resolver"
-            )
-        return [vin for vin in vins if self.selector.matches(resolve(vin))]
-
     def partition_targets(
         self,
         targets: Sequence[str],

@@ -34,7 +34,11 @@ from repro.core.plugin_swc import (
     make_plugin_swc_type,
 )
 from repro.autosar.ports import provided_port, required_port
-from repro.errors import ConfigurationError, ConnectionRefusedError_
+from repro.errors import (
+    ConfigurationError,
+    ConnectionRefusedError_,
+    PackagingError,
+)
 from repro.network.sockets import Endpoint, NetworkFabric
 
 
@@ -206,7 +210,11 @@ class EcmPirte(Pirte):
             self.handle_server_message(self._server_inbox.popleft())
         while self._ext_inbox:
             __, raw = self._ext_inbox.popleft()
-            name, value = decode_external(raw)
+            try:
+                name, value = decode_external(raw)
+            except PackagingError as exc:
+                self._drop_malformed("external", exc)
+                continue
             self.route_external_in(name, value)
         self._drain_remote_acks()
         return super().step()
@@ -215,7 +223,11 @@ class EcmPirte(Pirte):
 
     def handle_server_message(self, raw: bytes) -> None:
         """Dispatch one message pushed by the trusted server."""
-        message = msg.decode(raw)
+        try:
+            message = msg.decode(raw)
+        except PackagingError as exc:
+            self._drop_malformed("server", exc)
+            return
         if isinstance(message, msg.InstallMessage):
             # "An ECC is extracted by the ECM PIRTE" (Sec. 3.1.2) —
             # regardless of which SW-C the plug-in lands on.

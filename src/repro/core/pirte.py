@@ -53,6 +53,7 @@ from repro.errors import (
     InstallationError,
     LifecycleError,
     MemoryPoolError,
+    PackagingError,
     RoutingError,
     VmTrap,
 )
@@ -135,6 +136,8 @@ class Pirte:
         self.trapped_activations = 0
         self.messages_routed = 0
         self.dropped_messages = 0
+        #: Inbound frames dropped because they failed to decode.
+        self.malformed_frames = 0
         self.guard_rejections = 0
         #: Lazy (buffer, spec) caches for :meth:`_drain_swc_inputs` —
         #: the dispatch runnable polls every period, and resolving
@@ -519,7 +522,11 @@ class Pirte:
 
     def handle_management(self, raw: bytes) -> None:
         """Process one type I management message."""
-        message = msg.decode(raw)
+        try:
+            message = msg.decode(raw)
+        except PackagingError as exc:
+            self._drop_malformed("mgmt", exc)
+            return
         if isinstance(message, msg.InstallMessage):
             ack = self.install(message)
             self.send_ack(ack)
@@ -533,6 +540,15 @@ class Pirte:
             self.deliver_to_port(message.port_id, message.value)
         else:  # AckMessage arriving at a plain plug-in SW-C: ignore.
             self._trace("unexpected_ack")
+
+    def _drop_malformed(self, source: str, exc: PackagingError) -> None:
+        """Count and trace an undecodable frame instead of raising.
+
+        Receivers run inside kernel callbacks; a raise there would end
+        the simulation for every vehicle on it.
+        """
+        self.malformed_frames += 1
+        self._trace("malformed_frame", source=source, error=str(exc))
 
     def send_ack(self, ack: msg.AckMessage) -> None:
         """Write an acknowledgement onto the type I out port."""

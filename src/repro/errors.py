@@ -137,9 +137,5 @@ class CompatibilityError(ServerError):
     """The compatibility check between an APP and a vehicle failed."""
 
 
-class DependencyError(ServerError):
-    """Plug-in dependency or conflict constraints were violated."""
-
-
 class DeploymentTimeout(ReproError):
     """A deployment did not resolve within the simulated time budget."""

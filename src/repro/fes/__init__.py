@@ -13,15 +13,12 @@ the lazy indirection keeps that layering cycle-free.
 from importlib import import_module
 
 _EXPORTS = {
-    "ExamplePlatform": "repro.fes.example_platform",
     "build_example_platform": "repro.fes.example_platform",
     "declare_example_vehicle": "repro.fes.example_platform",
     "declare_remote_control_app": "repro.fes.example_platform",
     "make_example_vehicle_spec": "repro.fes.example_platform",
     "make_remote_control_app": "repro.fes.example_platform",
-    "Fleet": "repro.fes.fleet",
     "build_fleet": "repro.fes.fleet",
-    "build_fleet_from_specs": "repro.fes.fleet",
     "canary_campaign": "repro.fes.fleet",
     "ReceivedValue": "repro.fes.phone",
     "Smartphone": "repro.fes.phone",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import messages as msg
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PackagingError
 from repro.fes.vehicle import VehicleSpec
 from repro.network.sockets import Endpoint, NetworkFabric
 from repro.sim.kernel import MS, Simulator
@@ -103,6 +103,8 @@ class StatisticalVehicle:
         self.acks_sent = 0
         self.messages_received = 0
         self.nacks_sent = 0
+        #: Pushed frames dropped because they failed to decode.
+        self.malformed_frames = 0
         self._booted = False
 
     # -- platform-facing surface --------------------------------------------
@@ -156,7 +158,12 @@ class StatisticalVehicle:
 
     def _on_message(self, raw: bytes) -> None:
         self.messages_received += 1
-        message = msg.decode(raw)
+        try:
+            message = msg.decode(raw)
+        except PackagingError:
+            # Dropped, not raised: this runs in a kernel callback.
+            self.malformed_frames += 1
+            return
         if isinstance(message, msg.InstallMessage):
             self._handle_install(message)
         elif isinstance(message, msg.UninstallMessage):

@@ -12,7 +12,7 @@ vehicle and its server-side description consistent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.autosar.swc import ComponentType
 from repro.autosar.system import SystemDescription
@@ -21,6 +21,7 @@ from repro.core.ecm import EcmPirte, EcmSpec, SwcRoute, make_ecm_swc_type
 from repro.core.pirte import Pirte
 from repro.core.plugin_swc import (
     PluginSwcSpec,
+    RelayLink,
     build_virtual_port_specs,
     get_pirte,
     make_plugin_swc_type,
@@ -86,6 +87,58 @@ class VehicleSpec:
     def all_placements(self) -> list[PluginSwcPlacement]:
         return [self.ecm] + list(self.plugin_swcs)
 
+    def validate(self) -> "VehicleSpec":
+        """Check placements, relays and SW-C roles; returns ``self``.
+
+        Every SW-C and legacy component sits on a declared ECU, every
+        relay names a declared peer that relays back, the ECM has no
+        type I management ports and every other plug-in SW-C has them.
+        :meth:`~repro.api.builder.VehicleBuilder.to_spec` and
+        :func:`build_vehicle` both call this.
+        """
+        if not self.ecus:
+            raise ConfigurationError(f"vehicle {self.vin} declares no ECUs")
+        if self.ecm.spec.has_mgmt:
+            raise ConfigurationError(
+                f"vehicle {self.vin}: ECM {self.ecm.instance_name!r} "
+                f"base spec must have has_mgmt=False"
+            )
+        for placement in self.plugin_swcs:
+            if not placement.spec.has_mgmt:
+                raise ConfigurationError(
+                    f"vehicle {self.vin}: plug-in SW-C "
+                    f"{placement.instance_name!r} needs has_mgmt=True"
+                )
+        by_name = {p.instance_name: p for p in self.all_placements()}
+        for placement in self.all_placements():
+            if placement.ecu_name not in self.ecus:
+                raise ConfigurationError(
+                    f"vehicle {self.vin}: SW-C "
+                    f"{placement.instance_name!r} placed on unknown ECU "
+                    f"{placement.ecu_name!r}"
+                )
+            for relay in placement.spec.relays:
+                peer = by_name.get(relay.peer)
+                if peer is None:
+                    raise ConfigurationError(
+                        f"vehicle {self.vin}: SW-C "
+                        f"{placement.instance_name!r} relays to "
+                        f"undeclared peer {relay.peer!r}"
+                    )
+                if _back_relay(peer, placement.instance_name) is None:
+                    raise ConfigurationError(
+                        f"vehicle {self.vin}: SW-C {relay.peer!r} lacks "
+                        f"the back-relay toward {placement.instance_name!r}"
+                    )
+        for legacy in self.legacy:
+            if legacy.ecu_name not in self.ecus:
+                raise ConfigurationError(
+                    f"vehicle {self.vin}: legacy component "
+                    f"{legacy.instance_name!r} placed on unknown ECU "
+                    f"{legacy.ecu_name!r}"
+                )
+        return self
+
     def describe_for_server(self) -> tuple[HwConf, SystemSwConf]:
         """The HW conf + SystemSW conf the OEM uploads for this model."""
         hw = HwConf(self.model, tuple(EcuHw(name) for name in self.ecus))
@@ -110,6 +163,13 @@ class VehicleSpec:
                 )
             )
         return hw, SystemSwConf(tuple(swcs))
+
+
+def _back_relay(
+    peer: PluginSwcPlacement, toward: str
+) -> Optional[RelayLink]:
+    """``peer``'s relay pointing back at SW-C ``toward``, if any."""
+    return next((r for r in peer.spec.relays if r.peer == toward), None)
 
 
 def _relay_peer(spec: PluginSwcSpec, virtual_name: str) -> str:
@@ -160,12 +220,10 @@ def build_vehicle(
     """Assemble and build one vehicle connected to ``fabric``.
 
     The vehicle's trace points go to ``tracer``; the default builds an
-    untraced vehicle.
+    untraced vehicle.  Raises :class:`ConfigurationError` for a spec
+    :meth:`VehicleSpec.validate` rejects.
     """
-    if spec.ecm.ecu_name not in spec.ecus:
-        raise ConfigurationError(
-            f"ECM placed on unknown ECU {spec.ecm.ecu_name!r}"
-        )
+    spec.validate()
     desc = SystemDescription(f"vehicle-{spec.vin}")
     desc.can_bitrate = spec.can_bitrate
     for ecu_name in spec.ecus:
@@ -181,8 +239,6 @@ def build_vehicle(
         )
         for p in spec.plugin_swcs
     ]
-    if spec.ecm.spec.has_mgmt:
-        raise ConfigurationError("ECM base spec must have has_mgmt=False")
     ecm_spec = EcmSpec(
         base=spec.ecm.spec, server_address=spec.server_address, routes=routes
     )
@@ -194,15 +250,6 @@ def build_vehicle(
 
     # Plug-in SW-Cs.
     for placement in spec.plugin_swcs:
-        if placement.ecu_name not in spec.ecus:
-            raise ConfigurationError(
-                f"SW-C {placement.instance_name} on unknown ECU "
-                f"{placement.ecu_name!r}"
-            )
-        if not placement.spec.has_mgmt:
-            raise ConfigurationError(
-                f"plug-in SW-C {placement.instance_name} needs has_mgmt=True"
-            )
         ctype = make_plugin_swc_type(placement.spec)
         desc.add_component(
             placement.instance_name, ctype, placement.ecu_name,
@@ -228,25 +275,8 @@ def build_vehicle(
     by_name = {p.instance_name: p for p in spec.all_placements()}
     for placement in spec.all_placements():
         for relay in placement.spec.relays:
-            peer = by_name.get(relay.peer)
-            if peer is None:
-                raise ConfigurationError(
-                    f"SW-C {placement.instance_name} declares a relay to "
-                    f"unknown peer {relay.peer!r}"
-                )
-            peer_relay = next(
-                (
-                    r
-                    for r in peer.spec.relays
-                    if r.peer == placement.instance_name
-                ),
-                None,
-            )
-            if peer_relay is None:
-                raise ConfigurationError(
-                    f"SW-C {relay.peer} lacks the back-relay toward "
-                    f"{placement.instance_name}"
-                )
+            peer = by_name[relay.peer]
+            peer_relay = _back_relay(peer, placement.instance_name)
             desc.connect(
                 placement.instance_name,
                 relay.resolved_out_port(),

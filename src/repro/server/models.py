@@ -167,11 +167,6 @@ class VehicleConf:
                     used.update(record.port_ids)
         return used
 
-    def used_memory(self, swc_name: str) -> int:
-        """Declared memory consumed in ``swc_name`` (server estimate)."""
-        # Tracked via the app store at deploy time; see AppStore.
-        return 0
-
 
 @dataclass
 class Vehicle:

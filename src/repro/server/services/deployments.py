@@ -10,7 +10,8 @@ published as ``deploy`` events on the control plane's
 injectors and model calibration tap that category.
 
 This is the single code path for installation status queries;
-``Platform.installation_status`` delegates here.
+:meth:`Deployment.status <repro.api.deployment.Deployment.status>` and
+the HTTP status route read here.
 """
 
 from __future__ import annotations

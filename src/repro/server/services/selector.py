@@ -45,9 +45,6 @@ class FleetSelector:
     def matches(self, vehicle: "Vehicle") -> bool:
         raise NotImplementedError
 
-    def __call__(self, vehicle: "Vehicle") -> bool:
-        return self.matches(vehicle)
-
     # -- algebra --------------------------------------------------------------
 
     def __and__(self, other: "FleetSelector") -> "FleetSelector":

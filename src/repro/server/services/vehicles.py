@@ -5,11 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import (
-    ConfigurationError,
-    DuplicateEntityError,
-    UnknownEntityError,
-)
+from repro.errors import DuplicateEntityError, UnknownEntityError
 from repro.server.database import Database
 from repro.server.models import (
     HwConf,
@@ -177,24 +173,6 @@ class VehicleService:
                 )
             )
         return Response.success(rows)
-
-    def query_vins(self, selector: Optional[FleetSelector] = None) -> list[str]:
-        """VINs matching ``selector`` (the targeting fast path).
-
-        Unlike :meth:`query`, no :class:`VehicleView` rows are built and
-        the portal ``queries`` counter is not touched — this is the
-        internal path ``deploy_to``/campaign targeting hammer.
-        """
-        if selector is not None and not isinstance(selector, FleetSelector):
-            raise ConfigurationError(
-                f"targeting needs a FleetSelector "
-                f"(got {type(selector).__name__})"
-            )
-        return [
-            vin
-            for vin in sorted(self.db.vehicles)
-            if selector is None or selector.matches(self.resolve(vin))
-        ]
 
 
 __all__ = ["VehicleService", "VehicleView"]

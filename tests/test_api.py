@@ -8,8 +8,9 @@ negative tests for invalid declarations and heterogeneous fleets.
 import pytest
 
 from repro import (
-    Fleet,
+    FleetSelector,
     InstallStatus,
+    Platform,
     RelayLink,
     ScenarioBuilder,
     ServicePort,
@@ -201,6 +202,17 @@ class TestInvalidDeclarations:
         with pytest.raises(ConfigurationError, match="undeclared peer"):
             scenario.build()
 
+    def test_missing_back_relay_rejected_at_any_fidelity(self):
+        # A statistical vehicle never reaches build_vehicle, so the
+        # declaration check is the only place this can be caught.
+        scenario = ScenarioBuilder()
+        car = scenario.vehicle("VIN-X", "m").statistical()
+        car.ecus("ECU1", "ECU2")
+        car.ecm("swc1", on="ECU1", relays=[RelayLink("swc2", "V0", "V1")])
+        car.plugin_swc("swc2", on="ECU2")
+        with pytest.raises(ConfigurationError, match="back-relay"):
+            scenario.build()
+
     def test_duplicate_virtual_port_rejected_at_declaration(self):
         scenario = ScenarioBuilder()
         car = scenario.vehicle("VIN-X", "m")
@@ -277,21 +289,22 @@ class TestHeterogeneousFleet:
         app.unconnected("SRC", "cmd")
         app.wire("SRC", "out", "DST", "in")
         app.virtual("DST", "act", "V4")
-        return scenario.build(platform_cls=Fleet)
+        return scenario.build()
 
     def test_mixed_ecu_counts_deploy_everywhere(self):
         fleet = self._mixed_fleet()
-        assert isinstance(fleet, Fleet)
+        assert type(fleet) is Platform
         assert [len(v.spec.ecus) for v in fleet.vehicles] == [2, 3]
         fleet.run(1 * SECOND)
-        campaign = fleet.deploy_everywhere("pair")
+        campaign = fleet.deploy("pair")
         assert campaign.ok
         campaign.wait(30 * SECOND)
         assert campaign.statuses() == {
             "VIN-SMALL": InstallStatus.ACTIVE,
             "VIN-BIG": InstallStatus.ACTIVE,
         }
-        assert fleet.active_count("pair") == 2
+        active = FleetSelector.app_status("pair", InstallStatus.ACTIVE)
+        assert fleet.select_vins(active) == ["VIN-SMALL", "VIN-BIG"]
 
     def test_fleet_run_boots_exactly_once(self):
         fleet = self._mixed_fleet()
@@ -308,12 +321,26 @@ class TestHeterogeneousFleet:
     def test_rejected_vehicle_tracked_per_vin(self):
         fleet = self._mixed_fleet()
         fleet.run(1 * SECOND)
-        campaign = fleet.deploy_everywhere("pair")
+        campaign = fleet.deploy("pair")
         campaign.wait(30 * SECOND)
         # Second campaign: already installed everywhere -> all rejected,
         # wait() resolves immediately with nothing pending.
-        again = fleet.deploy_everywhere("pair")
+        again = fleet.deploy("pair")
         assert not again.ok
         assert sorted(again.rejected_vins) == ["VIN-BIG", "VIN-SMALL"]
         assert "already installed" in again.reasons("VIN-SMALL")[0]
         assert again.wait(1 * SECOND) == 0
+
+
+class TestExports:
+    @pytest.mark.parametrize(
+        "module",
+        ["repro", "repro.api", "repro.fes", "repro.campaign", "repro.server"],
+    )
+    def test_every_exported_name_resolves(self, module):
+        import importlib
+
+        package = importlib.import_module(module)
+        assert package.__all__
+        for name in package.__all__:
+            assert getattr(package, name) is not None, name

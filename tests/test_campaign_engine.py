@@ -20,6 +20,7 @@ from repro import (
     HealthPolicy,
     PercentageWaves,
     RollbackPolicy,
+    FleetSelector,
     build_fleet,
 )
 from repro.core import messages as msg
@@ -32,6 +33,7 @@ from repro.server.pusher import Pusher
 from repro.sim import SECOND, Simulator
 
 APP = "remote-control"
+ACTIVE = FleetSelector.app_status(APP, InstallStatus.ACTIVE)
 
 
 def make_fleet(size, seed=3):
@@ -158,7 +160,9 @@ class TestHealthGatesAndRollback:
         assert report.needs_workshop == 1
         assert not report.waves[0].breaches and not report.waves[1].breaches
         # The failed vehicle's record was abandoned server-side.
-        assert fleet.installation_status("VIN-0005", APP) is None
+        assert fleet.api.deployments.installation_status("VIN-0005", APP) is (
+            None
+        )
 
     def test_breach_rolls_back_affected_wave_only(self):
         fleet = make_fleet(12)
@@ -175,13 +179,15 @@ class TestHealthGatesAndRollback:
         assert canary.canary and not canary.breaches
         for vin in canary.vins:
             assert report.dispositions[vin] is Disposition.UPDATED
-            assert fleet.installation_status(vin, APP) is InstallStatus.ACTIVE
+            assert fleet.api.deployments.installation_status(vin, APP) is (
+                InstallStatus.ACTIVE
+            )
         # Wave 1 breached: its 6 healthy installs were uninstalled.
         assert report.waves[1].breaches
         assert report.rolled_back == 6
         assert report.needs_workshop == 3
         for vin in report.vins_with(Disposition.ROLLED_BACK):
-            assert fleet.installation_status(vin, APP) is None
+            assert fleet.api.deployments.installation_status(vin, APP) is None
 
     def test_campaign_scope_rolls_back_everything(self):
         fleet = make_fleet(12)
@@ -197,7 +203,7 @@ class TestHealthGatesAndRollback:
         # Canary vehicles are undone too under campaign scope.
         assert report.rolled_back == 9
         assert report.updated == 0
-        assert fleet.active_count(APP) == 0
+        assert len(fleet.select_vins(ACTIVE)) == 0
 
     def test_scope_none_halts_in_place(self):
         fleet = make_fleet(8)
@@ -210,7 +216,7 @@ class TestHealthGatesAndRollback:
         assert report.status == "halted"
         # Healthy installs of the breaching wave stay in place.
         assert report.updated == 2 + 4  # canary 2 + wave-1 survivors 4
-        assert fleet.active_count(APP) == 6
+        assert len(fleet.select_vins(ACTIVE)) == 6
 
     def test_single_wave_campaign_has_no_canary_gate(self):
         # One wave means nothing to promote to: the wave must neither be
@@ -250,7 +256,7 @@ class TestHealthGatesAndRollback:
         assert report.dispositions["VIN-0002"] is Disposition.UPDATED
         assert report.updated == 4
         assert sum(wave.retries for wave in report.waves) == 1
-        assert fleet.installation_status(
+        assert fleet.api.deployments.installation_status(
             "VIN-0002", APP
         ) is InstallStatus.ACTIVE
 
@@ -266,10 +272,10 @@ class TestHealthGatesAndRollback:
         workshop = report.vins_with(Disposition.NEEDS_WORKSHOP)
         assert workshop  # the canary wave was in flight
         for vin in workshop:
-            assert fleet.installation_status(vin, APP) is None
+            assert fleet.api.deployments.installation_status(vin, APP) is None
         # Even after the stragglers' acks arrive, nothing resurrects.
         fleet.sim.run_for(5 * SECOND)
-        assert fleet.active_count(APP) == 0
+        assert len(fleet.select_vins(ACTIVE)) == 0
 
     def test_lossy_fleet_recovers_through_retries(self):
         fleet = make_fleet(8)
@@ -327,7 +333,7 @@ class TestStagedHundredVehicleCampaign:
         assert report.rolled_back + report.needs_workshop == 5
         assert report.rolled_back > 0 and report.needs_workshop > 0
         assert len(report.dispositions) == 100
-        assert fleet.active_count(APP) == 0
+        assert len(fleet.select_vins(ACTIVE)) == 0
 
 
 # -- pusher robustness (satellite) ---------------------------------------------

@@ -13,8 +13,7 @@ def deployed():
     p = build_example_platform()
     p.boot()
     p.run(1 * SECOND)
-    result = p.deploy_remote_control()
-    assert result.ok
+    assert p.deploy("remote-control").ok
     p.run(3 * SECOND)
     return p
 

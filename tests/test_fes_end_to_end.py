@@ -26,8 +26,8 @@ def platform():
 
 @pytest.fixture()
 def deployed(platform):
-    result = platform.deploy_remote_control()
-    assert result.ok, result.reasons
+    deployment = platform.deploy("remote-control")
+    assert deployment.ok, deployment.reasons("VIN-0001")
     platform.run(3 * SECOND)
     return platform
 
@@ -149,8 +149,8 @@ class TestUninstallAndRestore:
             deployed.user_id, "VIN-0001", "remote-control"
         )
         deployed.run(3 * SECOND)
-        result = deployed.deploy_remote_control()
-        assert result.ok, result.reasons
+        deployment = deployed.deploy("remote-control")
+        assert deployment.ok, deployment.reasons("VIN-0001")
         deployed.run(3 * SECOND)
         deployed.phone().send("Speed", 77)
         deployed.run(1 * SECOND)

@@ -84,7 +84,7 @@ class TestLossyWireless:
         )
         platform.boot()
         platform.run(1 * SECOND)
-        assert platform.deploy_remote_control().ok
+        assert platform.deploy("remote-control").ok
         platform.run(3 * SECOND)
         sent = 60
         for angle in range(sent):
@@ -102,7 +102,7 @@ class TestLossyWireless:
         platform = build_example_platform(seed=21, cellular_profile=jittery)
         platform.boot()
         platform.run(2 * SECOND)
-        assert platform.deploy_remote_control().ok
+        assert platform.deploy("remote-control").ok
         platform.run(5 * SECOND)
         assert platform.vehicle().pirte_of("swc2").plugin("OP").state is (
             PluginState.RUNNING
@@ -125,8 +125,7 @@ class TestMultiPeerPhone:
         ).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
-        fleet.deploy_everywhere("remote-control")
-        fleet.run_until_active("remote-control", 30 * SECOND)
+        fleet.deploy("remote-control").wait(30 * SECOND)
         assert len(phone.connected_peers) == 2
         phone.send("Wheels", 8)  # broadcast
         fleet.sim.run_for(1 * SECOND)
@@ -148,8 +147,7 @@ class TestMultiPeerPhone:
         ).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
-        fleet.deploy_everywhere("remote-control")
-        fleet.run_until_active("remote-control", 30 * SECOND)
+        fleet.deploy("remote-control").wait(30 * SECOND)
         target = phone.connected_peers[0]
         count = phone.send("Wheels", 5, peer=target)
         assert count == 1
@@ -159,3 +157,80 @@ class TestMultiPeerPhone:
             for v in fleet.vehicles
         ]
         assert sorted(str(s) for s in states) == ["None", "[5]"]
+
+
+#: A frame whose type byte names no MessageType (decode: PackagingError).
+BAD_TYPE = b"\x07\xff\xff\xff"
+#: An external frame too short for its declared name (truncated message).
+TRUNCATED = b"\x00\x09ab"
+
+
+class TestMalformedFrames:
+    """An undecodable frame is counted and dropped, never fatal."""
+
+    def _deployed(self):
+        platform = build_example_platform(seed=5)
+        platform.run(1 * SECOND)
+        platform.deploy("remote-control").wait(10 * SECOND)
+        return platform
+
+    def _drives(self, platform):
+        """The phone -> COM -> OP -> actuator path still works."""
+        platform.phone().send("Wheels", 12)
+        platform.run(1 * SECOND)
+        return platform.actuator_state().get("wheels") == [12]
+
+    def test_ecm_drops_malformed_server_frame(self):
+        platform = self._deployed()
+        platform.server.pusher.push("VIN-0001", BAD_TYPE)
+        platform.run(1 * SECOND)
+        ecm = platform.vehicle().ecm_pirte
+        assert ecm.malformed_frames == 1
+        [event] = platform.tracer.events("pirte", "malformed_frame")
+        assert event.data["swc"] == "swc1"
+        assert event.data["source"] == "server"
+        assert "MessageType" in event.data["error"]
+        assert self._drives(platform)
+
+    def test_ecm_drops_malformed_external_frame(self):
+        platform = self._deployed()
+        phone = platform.phone()
+        [endpoint] = phone._peers.values()
+        endpoint.send(TRUNCATED, size=len(TRUNCATED))
+        platform.run(1 * SECOND)
+        assert platform.vehicle().ecm_pirte.malformed_frames == 1
+        [event] = platform.tracer.events("pirte", "malformed_frame")
+        assert event.data["source"] == "external"
+        assert "truncated" in event.data["error"]
+        assert self._drives(platform)
+
+    def test_pirte_drops_malformed_management_frame(self):
+        platform = self._deployed()
+        # The ECM's type I out port toward swc2 carries the frame over
+        # the CAN bus to swc2's PIRTE, as a forwarded package would.
+        ecm = platform.vehicle().ecm_pirte
+        ecm.instance.write("mgmt_swc2_out", "mgmt", BAD_TYPE)
+        platform.run(1 * SECOND)
+        pirte2 = platform.vehicle().pirte_of("swc2")
+        assert pirte2.malformed_frames == 1
+        assert ecm.malformed_frames == 0
+        [event] = platform.tracer.events("pirte", "malformed_frame")
+        assert (event.data["swc"], event.data["source"]) == ("swc2", "mgmt")
+        assert self._drives(platform)
+
+    def test_statistical_vehicle_drops_malformed_frame(self):
+        from repro.fes.fleet import build_fleet
+
+        from repro.fes.example_platform import make_remote_control_app
+
+        fleet = build_fleet(2, seed=3, full_vehicles=1)
+        fleet.api.store.upload(make_remote_control_app()).unwrap()
+        fleet.run(1 * SECOND)
+        statistical = fleet.vehicle("VIN-0001")
+        fleet.server.pusher.push("VIN-0001", BAD_TYPE)
+        fleet.run(1 * SECOND)
+        assert statistical.malformed_frames == 1
+        assert statistical.acks_sent == statistical.nacks_sent == 0
+        deployment = fleet.deploy("remote-control")
+        deployment.wait(30 * SECOND)
+        assert deployment.all_active

@@ -103,7 +103,7 @@ class TestEnvelopes:
         assert err.value.code is ErrorCode.DUPLICATE_ENTITY
 
     def test_unified_installation_status_code_path(self, monkeypatch):
-        """Platform and Deployment both flow through one method."""
+        """Deployment handles read status through the one service method."""
         fleet = make_fleet(1)
         deployment = fleet.deploy(APP)
         sentinel = InstallStatus.ACTIVE
@@ -112,8 +112,8 @@ class TestEnvelopes:
             "installation_status",
             lambda self, vin, app_name: sentinel,
         )
-        assert fleet.installation_status("any", "thing") is sentinel
         assert deployment.status(fleet.vins[0]) is sentinel
+        assert deployment.statuses() == {fleet.vins[0]: sentinel}
 
     def test_update_redeploy_failure_is_surfaced(self):
         """update() whose re-deploy is rejected must emit an event, not
@@ -132,7 +132,9 @@ class TestEnvelopes:
         fleet.run(1 * SECOND)
         fleet.api.deployments.deploy(fleet.user_id, vin, APP).unwrap()
         fleet.sim.run_for(5 * SECOND)
-        assert fleet.installation_status(vin, APP) is InstallStatus.ACTIVE
+        assert fleet.api.deployments.installation_status(vin, APP) is (
+            InstallStatus.ACTIVE
+        )
         # v2 blows the SW-C memory budget: accepted into the store, but
         # undeployable.
         fat = PluginDescriptor("fat_p", make_fat_binary(40_000), ("out",))
@@ -153,7 +155,7 @@ class TestEnvelopes:
         fleet.api.telemetry.subscribe(events.append, categories=("deploy",))
         assert fleet.api.deployments.update(fleet.user_id, vin, APP).ok
         fleet.sim.run_for(5 * SECOND)
-        assert fleet.installation_status(vin, APP) is None
+        assert fleet.api.deployments.installation_status(vin, APP) is None
         assert any(
             event.name == "update_redeploy_failed" and event.vin == vin
             for event in events
@@ -209,7 +211,7 @@ class TestEnvelopes:
         fleet.server.pusher.inject_upstream(vin, late_nack.encode())
         assert record.status is InstallStatus.REMOVING  # not FAILED
         fleet.sim.run_for(5 * SECOND)
-        assert fleet.installation_status(vin, APP) is None
+        assert fleet.api.deployments.installation_status(vin, APP) is None
 
     def test_malformed_upstream_frame_is_dropped_and_counted(self):
         """A frame that fails to decode must not raise out of the
@@ -232,7 +234,9 @@ class TestEnvelopes:
                 msg.MessageType.INSTALL, msg.AckStatus.OK,
             )
             fleet.server.pusher.inject_upstream(vin, ack.encode())
-        assert fleet.installation_status(vin, APP) is InstallStatus.ACTIVE
+        assert fleet.api.deployments.installation_status(vin, APP) is (
+            InstallStatus.ACTIVE
+        )
 
     def test_explicit_uninstall_cancels_pending_update(self):
         """uninstall() after update() removes the app for good — the
@@ -249,7 +253,7 @@ class TestEnvelopes:
         # The operator changes their mind before the uninstall resolves.
         assert fleet.api.deployments.uninstall(fleet.user_id, vin, APP).ok
         fleet.sim.run_for(10 * SECOND)
-        assert fleet.installation_status(vin, APP) is None
+        assert fleet.api.deployments.installation_status(vin, APP) is None
 
     def test_restore_skips_mid_uninstall_records(self):
         """restore() on an ECU whose app is mid-uninstall must not race
@@ -259,14 +263,16 @@ class TestEnvelopes:
         fleet.run(1 * SECOND)
         fleet.api.deployments.deploy(fleet.user_id, vin, APP).unwrap()
         fleet.sim.run_for(5 * SECOND)
-        assert fleet.installation_status(vin, APP) is InstallStatus.ACTIVE
+        assert fleet.api.deployments.installation_status(vin, APP) is (
+            InstallStatus.ACTIVE
+        )
         fleet.api.deployments.uninstall(fleet.user_id, vin, APP).unwrap()
         restored = fleet.api.deployments.restore(vin, "ECU2")
         assert not restored.ok
         assert restored.code is ErrorCode.NOTHING_TO_DO
         fleet.sim.run_for(5 * SECOND)
         # The uninstall completed cleanly; nothing was resurrected.
-        assert fleet.installation_status(vin, APP) is None
+        assert fleet.api.deployments.installation_status(vin, APP) is None
         from repro.core.plugin_swc import get_pirte
 
         swc2 = fleet.vehicle(vin).system.instance("swc2")
@@ -291,9 +297,8 @@ class TestEnvelopes:
 class TestPortalQueries:
     def test_query_rows_reflect_fleet_state(self):
         fleet = make_fleet(4)
-        assert [v.vin for v in fleet.query(S.region("eu-north"))] == (
-            even_vins(4)
-        )
+        rows = fleet.api.vehicles.query(S.region("eu-north")).unwrap()
+        assert [v.vin for v in rows] == even_vins(4)
         # Nobody has dialled in yet: the online selector is empty ...
         assert fleet.select_vins(S.online()) == []
         fleet.run(1 * SECOND)
@@ -301,7 +306,9 @@ class TestPortalQueries:
         assert fleet.select_vins(S.online()) == fleet.vins
         deployment = fleet.deploy_to(APP, S.region("na-east"))
         deployment.wait(30 * SECOND)
-        rows = fleet.query(S.installed(APP, version="1.0"))
+        rows = fleet.api.vehicles.query(
+            S.installed(APP, version="1.0")
+        ).unwrap()
         assert [v.vin for v in rows] == odd_vins(4)
         assert all(row.apps[0][2] == "active" for row in rows)
 
@@ -694,7 +701,7 @@ class TestCampaignPersistence:
         record = fleet.api.campaigns.get(engine.campaign_id).unwrap()
         assert record.status == resumed.status != "timed_out"
         for vin in fleet.vins:
-            assert fleet.installation_status(vin, APP) is (
+            assert fleet.api.deployments.installation_status(vin, APP) is (
                 InstallStatus.ACTIVE
             )
 

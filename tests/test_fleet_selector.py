@@ -173,7 +173,6 @@ class TestEmptyFleetQueries:
     def test_query_on_empty_fleet_is_empty(self, a):
         server = TrustedServer(NetworkFabric(Simulator()))
         assert server.api.vehicles.query(a).unwrap() == []
-        assert server.api.vehicles.query_vins(a) == []
 
     def test_query_without_selector_is_whole_fleet(self, empty_server):
         assert empty_server.api.vehicles.query().unwrap() == []

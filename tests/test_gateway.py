@@ -44,6 +44,7 @@ from repro.server.gateway.stream import (
 from repro.server.gateway.wire import HTTP_STATUS, decode, encode, http_status
 from repro.server.services import FleetSelector as S
 from repro.server.services.envelope import ErrorCode, Response, wire_value
+from repro.sim.kernel import SECOND
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.bus import TelemetryBus
 
@@ -443,6 +444,36 @@ class TestGatewayHTTP:
         one = client.vehicle(fleet.vins[0])
         assert one["vin"] == fleet.vins[0]
         assert one["region"] == "eu-north"
+
+    def test_vehicle_health_serves_latest_diag_per_swc(self):
+        fleet = make_fleet(size=2)
+        fleet.run(1 * SECOND)
+        fleet.vehicle().ecm_pirte.emit_diagnostics()
+        fleet.run(1 * SECOND)
+        gateway = FleetGateway(fleet).start(drive=True)
+        try:
+            client = FleetClient(gateway.base_url)
+            assert client.vehicle_health(fleet.vins[0]) == {
+                "swc1": {
+                    "memory_free_blocks": 512,
+                    "memory_used_blocks": 0,
+                    "plugins": [],
+                    "source_ecu": "ECU1",
+                    "source_swc": "swc1",
+                }
+            }
+            assert client.vehicle_health(fleet.vins[1]) == {}
+            status, payload = _raw_request(
+                gateway, "GET", "/v1/vehicles/VIN-NOPE/health"
+            )
+            assert status == 404
+            response = Response.from_dict(json.loads(payload))
+            assert response.code is ErrorCode.UNKNOWN_ENTITY
+            with pytest.raises(ApiError) as excinfo:
+                client.vehicle_health("VIN-NOPE")
+            assert excinfo.value.code is ErrorCode.UNKNOWN_ENTITY
+        finally:
+            gateway.stop()
 
     def test_errors_carry_codes_and_statuses(self, served):
         fleet, gateway, client = served

@@ -8,7 +8,7 @@ from repro.fes.example_platform import (
     make_remote_control_app,
 )
 from repro.fes.fleet import build_fleet
-from repro.server import InstallStatus
+from repro.server import FleetSelector, InstallStatus
 from repro.server.models import (
     App,
     ConnectionKind,
@@ -35,11 +35,14 @@ def fleet3():
 
 class TestFleetDeployment:
     def test_deploy_everywhere(self, fleet3):
-        results = fleet3.deploy_everywhere("remote-control")
-        assert all(r.ok for r in results)
-        elapsed = fleet3.run_until_active("remote-control", 20 * SECOND)
+        deployment = fleet3.deploy("remote-control")
+        assert all(r.ok for r in deployment)
+        elapsed = deployment.wait(20 * SECOND)
         assert elapsed > 0
-        assert fleet3.active_count("remote-control") == 3
+        active = FleetSelector.app_status(
+            "remote-control", InstallStatus.ACTIVE
+        )
+        assert len(fleet3.select_vins(active)) == 3
 
     def test_vehicles_isolated(self, fleet3):
         """Install on one vehicle does not touch the others."""
@@ -51,8 +54,7 @@ class TestFleetDeployment:
         assert "COM" not in fleet3.vehicles[1].ecm_pirte.plugins
 
     def test_port_ids_independent_per_vehicle(self, fleet3):
-        fleet3.deploy_everywhere("remote-control")
-        fleet3.run_until_active("remote-control", 20 * SECOND)
+        fleet3.deploy("remote-control").wait(20 * SECOND)
         for vehicle in fleet3.vehicles:
             installed = fleet3.server.db.installation(
                 vehicle.vin, "remote-control"

@@ -159,8 +159,8 @@ class TestMixedFleetCampaigns:
         )
         assert report.status == "succeeded"
         for vin in fleet.vins:
-            assert (
-                fleet.installation_status(vin, APP) is InstallStatus.ACTIVE
+            assert fleet.api.deployments.installation_status(vin, APP) is (
+                InstallStatus.ACTIVE
             )
 
     def test_statistical_failures_breach_the_gate(self):

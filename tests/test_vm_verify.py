@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import build_fleet
+from repro import FleetSelector, InstallStatus, build_fleet
 from repro.errors import FuelExhaustedError, VmTrap
 from repro.fes import canary_campaign
 from repro.fes.example_platform import PHONE_ADDRESS, make_remote_control_app
@@ -455,7 +455,8 @@ class TestCampaignPreflight:
         assert report.status == "halted"
         assert any(e.kind == "verification_failed" for e in report.events)
         assert not report.waves
-        assert fleet.active_count("stale-bad") == 0
+        active = FleetSelector.app_status("stale-bad", InstallStatus.ACTIVE)
+        assert fleet.select_vins(active) == []
 
     def test_clean_app_campaign_unaffected(self):
         fleet = build_fleet(4, seed=11)
